@@ -5,15 +5,16 @@ probes, so a probe's verdict is a durable fact about ``(circuit, K,
 options, phi)`` — not about the run that computed it.  This store keys
 every outcome by the SHA-256 of the circuit's canonical BLIF (the same
 address :class:`repro.serve.store.CircuitStore` uses) plus the
-engine-*relevant* options, and records per-phi verdict + converged
+result-*relevant* options, and records per-phi verdict + converged
 labels (packed int32, base64) plus the final ``(min phi, result
 signature, certificates)`` of a completed verified search.
 
-Deliberately **excluded** from the key: ``engine``, ``flow``,
-``kernel``, ``warm_start`` and worker count — the engine-matrix tests
-assert all of them bit-identical on phi and labels, so outcomes cached
-under one backend are valid under every other.  ``cmax`` participates
-only when resynthesis is on (TurboMap ignores it).
+Deliberately **excluded** from the key: ``warm_start`` and worker
+count — they change which probes run, never a verdict or its labels, so
+outcomes cached by one run serve every other.  The label path itself
+is not an option (production has one; the test oracles of
+``tests/kernel`` are asserted bit-identical to it).  ``cmax``
+participates only when resynthesis is on (TurboMap ignores it).
 
 Durability hygiene follows the PR 8 store: atomic entry writes with
 dirsync, a versioned schema where a mismatched version is *ignored*
@@ -59,7 +60,7 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 @dataclass(frozen=True)
 class CacheKey:
-    """The invalidation key: circuit content + engine-relevant options.
+    """The invalidation key: circuit content + result-relevant options.
 
     ``n`` (the node count) is not an input of the search — it is
     recorded so packed label blobs can be length-validated on load

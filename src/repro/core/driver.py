@@ -174,12 +174,12 @@ def probe_phi(
     the label computation cooperatively; on expiry
     :class:`ProbeTimeout` is raised in whichever process runs the probe.
     ``seed_labels`` warm-starts the solver from a converged label set of
-    a larger period (see :func:`nearest_warm_seed`); ``engine`` selects
-    the worklist or round-robin label engine, ``max_copies`` bounds
-    each partial expansion, and ``flow`` / ``kernel`` select the
-    max-flow engine and copy representation (bit-identical outcomes,
-    see :mod:`repro.kernel`).  ``dirty_seed`` repairs a previous
-    fixpoint at the same phi incrementally
+    a larger period (see :func:`nearest_warm_seed`) and ``max_copies``
+    bounds each partial expansion.  ``engine`` / ``flow`` / ``kernel``
+    default to the production label path; the paper's ``"rounds"``
+    engine, ``"ek"`` flow and ``"object"`` kernel are test oracles with
+    bit-identical outcomes (see :mod:`repro.kernel`).  ``dirty_seed``
+    repairs a previous fixpoint at the same phi incrementally
     (:class:`repro.core.labels.DirtySeed`) — still bit-identical to a
     cold probe.
     """
@@ -296,6 +296,9 @@ def search_min_phi(
     phi, so those labels are valid lower bounds and the probe skips the
     raises a cold start would recompute.  The returned ``phi_min`` and
     its labels are identical either way; only the per-probe work drops.
+
+    ``engine`` / ``flow`` / ``kernel`` are passed to every probe (see
+    :func:`probe_phi`).
 
     ``prev_outcomes`` + ``dirty`` enable incremental repair
     (:mod:`repro.incremental`): when a probe lands on a phi whose
@@ -503,11 +506,8 @@ def run_mapper(
     workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
     outcomes: Optional[Dict[int, LabelOutcome]] = None,
@@ -532,15 +532,10 @@ def run_mapper(
     certificate; pass ``check=False`` to opt out (e.g. in tight inner
     benchmark loops).
 
-    ``engine`` selects the label engine (``"worklist"`` event-driven,
-    ``"rounds"`` classical sweep), ``warm_start`` toggles cross-probe
-    label seeding, ``max_copies`` bounds each partial expansion, and
-    ``flow`` / ``kernel`` select the max-flow engine
-    (``"dinic"``/``"ek"``) and copy representation (``"compiled"`` /
-    ``"object"`` / the numpy-batched ``"vector"``, plus ``"auto"``
-    which resolves to vector or compiled from the microbench-measured
-    crossover, see :func:`repro.kernel.batch.resolve_kernel`) — all of
-    them leave ``phi`` and the labels bit-identical.
+    Probes run the production label path (worklist engine, Dinic flow,
+    compiled kernel).  ``warm_start`` toggles cross-probe label
+    seeding and ``max_copies`` bounds each partial expansion; both
+    leave ``phi`` and the labels bit-identical.
 
     ``outcomes`` seeds (and collects) the probe cache across *calls*:
     a mapping interrupted mid-search can resume from its journaled
@@ -643,11 +638,8 @@ def run_mapper(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-            engine=engine,
             warm_start=warm_start,
             max_copies=max_copies,
-            flow=flow,
-            kernel=kernel,
             outcomes=outcomes,
             csr_handle=csr_handle,
             cache=cache,
@@ -664,11 +656,8 @@ def run_mapper(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-            engine=engine,
             warm_start=warm_start,
             max_copies=max_copies,
-            flow=flow,
-            kernel=kernel,
             outcomes=outcomes,
             prev_outcomes=(
                 prev_result.outcomes if prev_result is not None else None
@@ -764,11 +753,8 @@ def run_mapper(
                 workers=workers,
                 check=check,
                 budget=None,
-                engine=engine,
                 warm_start=warm_start,
                 max_copies=max_copies,
-                flow=flow,
-                kernel=kernel,
                 outcomes=outcomes,
                 csr_handle=csr_handle,
                 cache=cache,

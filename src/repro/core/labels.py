@@ -84,23 +84,14 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.comb.maxflow import FLOWS, SplitNetwork
-from repro.compat import np
 from repro.core.expanded import (
     DEFAULT_MAX_COPIES,
-    ExpansionOverflow,
     PartialExpansion,
     expand_partial,
 )
 from repro.core.kcut import cut_on_expansion
 from repro.core.pld import grounded_members
-from repro.kernel.batch import (
-    BatchCutArena,
-    batch_gate_profile,
-    resolve_kernel,
-    views_from_compiled,
-    witness_feasible,
-)
-from repro.kernel.csr import KIND_GATE, KIND_PI
+from repro.kernel.csr import KIND_GATE
 from repro.kernel.expand import (
     PackedCutArena,
     PackedExpansion,
@@ -114,20 +105,12 @@ from repro.resilience.budget import ProbeTimeout
 ENGINES = ("worklist", "rounds")
 
 #: Valid values of :class:`LabelSolver`'s ``kernel`` parameter:
-#: ``"compiled"`` runs expansions and cut queries on the circuit's flat
-#: CSR arrays with packed-int copies (:mod:`repro.kernel`);
-#: ``"object"`` is the tuple-and-dict engine, retained for differential
-#: testing; ``"vector"`` layers the numpy batch kernel
-#: (:mod:`repro.kernel.batch`) on top of the compiled representation —
-#: each label round's independent cut queries are speculatively
-#: precomputed through one stacked level-BFS flow solve, with a
-#: vectorized height prefilter skipping trivially decided queries.  The
-#: pseudo-kernel ``"auto"`` resolves to ``"vector"`` or ``"compiled"``
-#: from the microbench-measured crossover
-#: (:func:`repro.kernel.batch.resolve_kernel`), and ``"vector"``
-#: degrades to ``"compiled"`` when numpy is not installed.  All kernels
-#: produce bit-identical labels, cuts, and mapped networks.
-KERNELS = ("compiled", "object", "vector")
+#: ``"compiled"`` (the production path) runs expansions and cut queries
+#: on the circuit's flat CSR arrays with packed-int copies
+#: (:mod:`repro.kernel`); ``"object"`` is the tuple-and-dict expansion,
+#: kept as a test oracle.  Both produce bit-identical labels, cuts, and
+#: mapped networks.
+KERNELS = ("compiled", "object")
 
 
 @dataclass
@@ -146,18 +129,7 @@ class LabelStats:
     ``dinic_phases`` / ``arcs_advanced`` are the Dinic flow engine's
     deterministic work counters (level-graph BFS phases run and arcs
     examined by the blocking-flow search, summed over all cut queries);
-    both stay 0 under the Edmonds-Karp engine.  Under the vector kernel
-    they measure the *batched* search (stacked phases and arcs), so they
-    are comparable between vector runs but not across kernels.
-
-    The batch-kernel counters (all 0 under scalar kernels):
-    ``batched_queries`` counts cut queries answered from a speculative
-    batch solve instead of the scalar path, ``prefilter_hits`` the
-    queries the vectorized height prefilter decided without building a
-    flow network (recorded-witness feasible, or depth-1 blocked), and
-    ``batch_rounds`` the stacked arena solves run.  ``flow_queries``
-    counts every answered query regardless of path, so it stays
-    bit-identical across kernels.
+    both stay 0 under the Edmonds-Karp engine.
 
     The incremental-repair counters (all 0 on cold runs): ``dirty_nodes``
     is the dirty-region size of the edit being repaired (fixed per
@@ -189,9 +161,6 @@ class LabelStats:
     expansions_reused: int = 0
     dinic_phases: int = 0
     arcs_advanced: int = 0
-    batched_queries: int = 0
-    prefilter_hits: int = 0
-    batch_rounds: int = 0
     dirty_nodes: int = 0
     labels_reused: int = 0
     witnesses_revalidated: int = 0
@@ -218,9 +187,6 @@ class LabelStats:
         self.expansions_reused += other.expansions_reused
         self.dinic_phases += other.dinic_phases
         self.arcs_advanced += other.arcs_advanced
-        self.batched_queries += other.batched_queries
-        self.prefilter_hits += other.prefilter_hits
-        self.batch_rounds += other.batch_rounds
         self.dirty_nodes = max(self.dirty_nodes, other.dirty_nodes)
         self.labels_reused += other.labels_reused
         self.witnesses_revalidated += other.witnesses_revalidated
@@ -309,11 +275,6 @@ class LabelSolver:
                 f"unknown flow engine {flow!r}; valid engines: "
                 + ", ".join(FLOWS)
             )
-        # "auto" picks vector vs compiled from the measured crossover;
-        # "vector" silently degrades to "compiled" without numpy (the
-        # import-guarded fallback of the optional [vector] extra).
-        if kernel in ("auto", "vector"):
-            kernel = resolve_kernel(kernel, len(circuit))
         if kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; valid kernels: "
@@ -430,12 +391,9 @@ class LabelSolver:
         # in-SCC label rise (upstream SCCs are already frozen).
         self._resyn_dep: Set[int] = set()
         # One scratch arena recycled across every cut query: the packed
-        # builder (compiled/vector kernels) or the tuple-keyed
-        # SplitNetwork (object kernel), each backed by the selected flow
-        # engine.  The vector kernel additionally keeps a stacked batch
-        # arena, numpy views of the CSR arrays, a live int64 mirror of
-        # the label list, and the pending speculative batch entries.
-        if kernel != "object":
+        # builder (compiled kernel) or the tuple-keyed SplitNetwork
+        # (object kernel), each backed by the selected flow engine.
+        if kernel == "compiled":
             self._cc = circuit.compiled()
             self._packed_arena = PackedCutArena(flow=flow)
             self._flow_arena = None
@@ -443,15 +401,6 @@ class LabelSolver:
             self._cc = None
             self._packed_arena = None
             self._flow_arena = SplitNetwork(flow=flow)
-        if kernel == "vector":
-            self._batch_arena: Optional[BatchCutArena] = BatchCutArena()
-            self._views = views_from_compiled(self._cc)
-            self._labels_arr = np.asarray(self.labels, dtype=np.int64)
-        else:
-            self._batch_arena = None
-            self._views = None
-            self._labels_arr = None
-        self._batch: dict = {}
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -547,27 +496,8 @@ class LabelSolver:
                     self._check_expansion[v] = None
                     self.stats.cache_hits += 1
                     return True
-        # Speculative batch consume (vector kernel): a pending entry
-        # prepped at the same threshold whose read labels have not
-        # changed since prep answers the query with no expansion and no
-        # flow work.  Entries are (threshold, expansion, read_set,
-        # prep_stamp, cut); labels only rise, so an entry the prep-time
-        # checks admitted stays the exact answer while its read set is
-        # untouched — otherwise it is discarded and the scalar path
-        # below recomputes from live labels.
-        if self._batch:
-            entry = self._batch.pop(v, None)
-            if entry is not None and entry[0] == threshold:
-                stamp = entry[3]
-                change = self._change_stamp
-                if all(change[u] <= stamp for u in entry[2]):
-                    self.stats.flow_queries += 1
-                    self.stats.batched_queries += 1
-                    cut = entry[4]
-                    self._record_query(v, threshold, entry[1], cut)
-                    return cut is not None
         t0 = time.perf_counter()
-        compiled = self.kernel != "object"
+        compiled = self.kernel == "compiled"
         if compiled:
             expansion = expand_partial_packed(
                 self._cc,
@@ -608,23 +538,6 @@ class LabelSolver:
         self.stats.t_flow += time.perf_counter() - t1
         self.stats.dinic_phases += phases
         self.stats.arcs_advanced += arcs
-        self._record_query(v, threshold, expansion, cut)
-        return cut is not None
-
-    def _record_query(
-        self,
-        v: int,
-        threshold: int,
-        expansion: "PartialExpansion | PackedExpansion",
-        cut: Optional[List[Tuple[int, int]]],
-    ) -> None:
-        """Feed one answered cut query into the per-node memo.
-
-        Shared by the scalar path and the batch consume, so both leave
-        bit-identical memo state (guards, cone index, witness cuts,
-        stamps) behind.
-        """
-        compiled = self.kernel != "object"
         # Both kernels feed the memo the same view: frontier copies as
         # (u, w) pairs.  Packed tiers decode lazily here — the frontier
         # is tiny next to the interior the hot loops just traversed.
@@ -689,6 +602,7 @@ class LabelSolver:
         self._check_l[v] = threshold
         self._check_result[v] = cut is not None
         self._check_expansion[v] = expansion
+        return cut is not None
 
     def expansion_for(
         self, v: int, threshold: int
@@ -740,196 +654,10 @@ class LabelSolver:
             new = big_l + 1
         if new > self.labels[v]:
             self.labels[v] = new
-            if self._labels_arr is not None:
-                self._labels_arr[v] = new
             self._clock += 1
             self._change_stamp[v] = self._clock
             return True
         return False
-
-    # ------------------------------------------------------------------
-    def _blocked_expansion(self, v: int, threshold: int) -> PackedExpansion:
-        """The exact partial expansion of a depth-1 blocked query.
-
-        When an arg-max fanin pin of ``v`` is driven by a PI, its copy
-        height ``big_l + 1`` exceeds ``threshold = big_l`` and
-        :func:`~repro.kernel.expand.expand_partial_packed` blocks while
-        classifying the root's own pins — before expanding anything.
-        This synthesizes that state without the traversal: pins before
-        the first blocking one are classified (and their edges
-        recorded), the blocking pin terminates the expansion with its
-        edge unrecorded, exactly like the real traversal's early
-        return.
-        """
-        cc = self._cc
-        shift = cc.shift
-        labels = self.labels
-        phi = self.phi
-        floor = threshold - self.extra_depth * phi
-        result = PackedExpansion(root=v, shift=shift, blocked=True)
-        result.interior.append(v)
-        count = 1
-        kinds = cc.kinds
-        srcs = cc.srcs
-        weights = cc.weights
-        edges = result.edges
-        for i in range(cc.offsets[v], cc.offsets[v + 1]):
-            src = srcs[i]
-            w = weights[i]
-            height = labels[src] - phi * w + 1
-            kind = kinds[src]
-            if height > threshold:
-                if kind == KIND_PI:
-                    return result
-                tier_list = result.interior
-            elif kind == KIND_GATE and height > floor:
-                tier_list = result.candidates
-            else:
-                tier_list = result.leaves
-            count += 1
-            if count > self.max_copies:
-                raise ExpansionOverflow(
-                    self.circuit.name_of(v), self.max_copies
-                )
-            tier_list.append((w << shift) | src)
-            edges.append((w << shift) | src)
-            edges.append(v)
-        raise AssertionError("no blocking pin found")  # pragma: no cover
-
-    def _prep_batch(self, gates: Sequence[int]) -> None:
-        """Speculatively precompute a burst of cut queries (vector kernel).
-
-        Pure with respect to solver state except for the pending-entry
-        dict and the prefilter/flow counters: for every gate whose next
-        ``_update`` would issue a flow query under *current* labels, the
-        query is answered now — trivially via the vectorized height
-        prefilter where possible, through one stacked
-        :class:`~repro.kernel.batch.BatchCutArena` solve otherwise —
-        and parked for ``_has_kcut`` to consume.  Entries record the
-        labels they read; a label rise in between invalidates them at
-        consume time (labels are monotone, so prep-time admission never
-        over-commits), falling back to the scalar path.
-        """
-        arena = self._batch_arena
-        self._batch.clear()
-        if arena is None or len(gates) < 2:
-            return
-        labels = self.labels
-        labels_arr = self._labels_arr
-        phi = self.phi
-        big_l_arr, has_pins, blocked_arr = batch_gate_profile(
-            self._views, labels_arr, phi, gates, KIND_PI
-        )
-        # Gates whose update would actually query: pins exist, the fanin
-        # maximum can raise the label, and the memo cannot answer.
-        todo: List[Tuple[int, int, bool]] = []
-        for i, v in enumerate(gates):
-            if not has_pins[i]:
-                continue
-            big_l = int(big_l_arr[i])
-            if big_l < labels[v]:
-                continue
-            if self._memo_valid(v, big_l):
-                continue
-            todo.append((v, big_l, bool(blocked_arr[i])))
-        if not todo:
-            return
-        # Prefilter 1 — recorded witness cuts, checked as one stacked
-        # height comparison: a passing witness means the consume-time
-        # re-anchor in _has_kcut answers the query with no network.
-        if self.engine == "worklist":
-            wit_nodes: List[int] = []
-            wit_weights: List[int] = []
-            wit_qid: List[int] = []
-            wit_thr: List[int] = []
-            wit_pos: List[int] = []
-            for j, (v, big_l, _blk) in enumerate(todo):
-                cut = self._check_cut[v]
-                if not cut:
-                    continue
-                qid = len(wit_thr)
-                wit_thr.append(big_l)
-                wit_pos.append(j)
-                for u, w in cut:
-                    wit_nodes.append(u)
-                    wit_weights.append(w)
-                    wit_qid.append(qid)
-            if wit_thr:
-                ok = witness_feasible(
-                    labels_arr, phi, wit_nodes, wit_weights, wit_qid, wit_thr
-                )
-                hits = set()
-                for qid, j in enumerate(wit_pos):
-                    if ok[qid]:
-                        hits.add(j)
-                        self.stats.prefilter_hits += 1
-                if hits:
-                    todo = [t for j, t in enumerate(todo) if j not in hits]
-        # Prefilter 2 — depth-1 blocked: an arg-max PI pin blocks the
-        # expansion on the root's own pin list; synthesize that exact
-        # partial expansion instead of traversing.  Everything else
-        # expands for real and stacks into the batch arena.
-        stamp = self._clock
-        cc = self._cc
-        mask = cc.mask
-        kinds = cc.kinds
-        t0 = time.perf_counter()
-        stacked: List[Tuple[int, list]] = []
-        for v, big_l, blk in todo:
-            try:
-                if blk:
-                    expansion = self._blocked_expansion(v, big_l)
-                    self.stats.prefilter_hits += 1
-                else:
-                    expansion = expand_partial_packed(
-                        cc,
-                        v,
-                        phi,
-                        labels,
-                        big_l,
-                        extra_depth=self.extra_depth,
-                        max_copies=self.max_copies,
-                        name_of=self.circuit.name_of,
-                    )
-            except ExpansionOverflow:
-                # The scalar path raises the identical overflow at
-                # consume time (same labels, same expansion) — let it
-                # own the failure so batching never changes behavior.
-                continue
-            read = {v}
-            for p in expansion.interior:
-                read.add(p & mask)
-            for p in expansion.candidates:
-                read.add(p & mask)
-            for p in expansion.leaves:
-                u = p & mask
-                if kinds[u] == KIND_GATE:
-                    read.add(u)
-            if expansion.blocked:
-                self._batch[v] = (big_l, expansion, read, stamp, None)
-            else:
-                stacked.append((v, [big_l, expansion, read]))
-        self.stats.t_expand += time.perf_counter() - t0
-        if not stacked:
-            return
-        t1 = time.perf_counter()
-        arena.reset()
-        for _v, entry in stacked:
-            arena.add(entry[1], self.k)
-        cuts = arena.solve()
-        phases, arcs = arena.drain_counters()
-        self.stats.dinic_phases += phases
-        self.stats.arcs_advanced += arcs
-        self.stats.batch_rounds += 1
-        self.stats.t_flow += time.perf_counter() - t1
-        for (v, entry), packed_cut in zip(stacked, cuts):
-            big_l, expansion, read = entry
-            cut = (
-                None
-                if packed_cut is None
-                else expansion.unpack_copies(packed_cut)
-            )
-            self._batch[v] = (big_l, expansion, read, stamp, cut)
 
     # ------------------------------------------------------------------
     def _grounded(self, members: List[int], member_set: Set[int]) -> bool:
@@ -973,7 +701,6 @@ class LabelSolver:
         isolated_streak = 0
         for _round in range(max_rounds):
             self._check_deadline()
-            self._prep_batch(members)
             self.stats.rounds += 1
             before = None if san is None else san.snapshot(members)
             changed = False
@@ -1027,8 +754,6 @@ class LabelSolver:
         isolated_streak = 0
         for _epoch in range(max_rounds):
             self._check_deadline()
-            if self._batch_arena is not None:
-                self._prep_batch([v for _pos, v in sorted(heap)])
             self.stats.rounds += 1
             before = None if san is None else san.snapshot(members)
             changed = False
@@ -1101,32 +826,9 @@ class LabelSolver:
             next_set = set()
         return False
 
-    def _flush_singletons(self, pending: List[int]) -> None:
-        """Update a buffered run of singleton (acyclic) SCCs in order.
-
-        Consecutive singleton SCCs are collected by :meth:`_run` and
-        prepped as one burst before any of them updates: on DAG-heavy
-        circuits this is where most cut queries live, and independent
-        gates of the run batch through one stacked solve (chained gates
-        whose thresholds shift mid-run simply fail consume validation
-        and fall back to the scalar path, preserving bit-identity).
-        """
-        if len(pending) > 1:
-            self._prep_batch(pending)
-        for v in pending:
-            self.stats.rounds += 1
-            if self._san is not None:
-                before = self._san.snapshot([v])
-                self._update(v)
-                self._san.check_epoch([v], before)
-            else:
-                self._update(v)
-        pending.clear()
-
     def _run(self) -> LabelOutcome:
         """Compute all labels or detect infeasibility."""
         order_pos = {nid: i for i, nid in enumerate(self.circuit.comb_topo_order())}
-        pending_singletons: List[int] = []
         for component in self.circuit.sccs():
             self._check_deadline()
             members = [
@@ -1152,9 +854,14 @@ class LabelSolver:
                 for pin in self.circuit.fanins(v)
             )
             if n_scc == 1 and not self_looped:
-                pending_singletons.append(members[0])
+                self.stats.rounds += 1
+                if self._san is not None:
+                    before = self._san.snapshot(members)
+                    self._update(members[0])
+                    self._san.check_epoch(members, before)
+                else:
+                    self._update(members[0])
                 continue
-            self._flush_singletons(pending_singletons)
             max_rounds = 6 * n_scc + self.PLD_PATIENCE if self.pld else n_scc * n_scc + 2
             rounds_before = self.stats.rounds
             if self.engine == "rounds":
@@ -1174,7 +881,6 @@ class LabelSolver:
                     stats=self.stats,
                     failed_scc=members,
                 )
-        self._flush_singletons(pending_singletons)
         if self.io_constrained:
             # Retiming-only feasibility additionally requires every PO's
             # sequential arrival to fit one period: l(u) - phi*w <= phi

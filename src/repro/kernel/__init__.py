@@ -24,10 +24,11 @@ flat integer arrays:
   of the compiled arrays to probe worker processes (inline bytes or
   ``multiprocessing.shared_memory``) and packed label vectors.
 
-Engine selection is exposed as ``kernel="compiled"|"object"`` and
-``flow="dinic"|"ek"`` on :class:`repro.core.labels.LabelSolver`, the
-mapper entry points, and the CLI; both engines produce bit-identical
-labels, cuts, and mappings (asserted by ``tests/kernel``).
+Production label solving always runs the compiled kernel with the Dinic
+flow.  :class:`repro.core.labels.LabelSolver` (and ``probe_phi`` /
+``search_min_phi``) keep ``kernel="object"`` and ``flow="ek"`` only as
+test oracles; ``tests/kernel`` asserts that every combination produces
+bit-identical labels, cuts, and mappings.
 """
 
 from repro.kernel.csr import (

@@ -38,28 +38,18 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.compat import HAVE_NUMPY
 from repro.core.labels import LabelSolver
-from repro.kernel.expand import PackedCutArena, PackedExpansion, cut_on_packed
 from repro.perf.report import SCHEMA_VERSION
 from repro.resilience.atomic import atomic_write_json
 
 #: (flow, kernel) pairs timed by :func:`bench_circuit` — the reference
-#: configuration (old engine) first, then the default, then the numpy
-#: batch kernel (skipped when the ``[vector]`` extra is missing: it
-#: would silently fall back to ``compiled`` and report a duplicate).
+#: configuration (the test oracles) first, the production path last.
 MATRIX = (
     ("ek", "object"),
     ("ek", "compiled"),
     ("dinic", "object"),
     ("dinic", "compiled"),
-) + ((("dinic", "vector"),) if HAVE_NUMPY else ())
-
-#: Batch widths (stacked queries per arena solve) of the crossover sweep.
-SWEEP_WIDTHS = (4, 16, 64)
-
-#: Per-query network sizes (expansion copies) of the crossover sweep.
-SWEEP_SIZES = (64, 256, 1024)
+)
 
 
 def _solve(circuit, k: int, phi: int, flow: str, kernel: str):
@@ -95,148 +85,6 @@ def handoff_bytes(circuit) -> Dict[str, int]:
     finally:
         handle.unlink()
     return sizes
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def synthetic_expansion(
-    nodes: int, seed: int, shift: int = 20
-) -> PackedExpansion:
-    """A deterministic pseudo-random DAG expansion with ``nodes`` copies.
-
-    The crossover sweep (and the kernel differential tests) need many
-    independent cut networks of controlled size without paying a label
-    run per network.  Copies ``1..nodes-1`` each pick one or two
-    parents among the already-emitted expandable copies via a 64-bit
-    LCG seeded from ``seed`` — same seed, same expansion, on every
-    platform.  Roughly the first 40% of copies become interior, the
-    next ~12% candidates, the rest leaves, mimicking the deep-cone
-    shape of real partial expansions (an INF core, a thin cuttable
-    band, a wide source frontier).
-    """
-    state = (seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & _MASK64
-
-    def rnd(n: int) -> int:
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) & _MASK64
-        return (state >> 33) % n
-
-    exp = PackedExpansion(root=0, shift=shift)
-    exp.interior.append(0)
-    expandable = [0]
-    n_interior = max(1, (nodes * 2) // 5)
-    n_candidate = max(1, nodes // 8)
-    for i in range(1, nodes):
-        if i <= n_interior:
-            tier = exp.interior
-        elif i <= n_interior + n_candidate:
-            tier = exp.candidates
-        else:
-            tier = exp.leaves
-        for _ in range(1 + rnd(2)):
-            exp.edges.append(i)
-            exp.edges.append(expandable[rnd(len(expandable))])
-        tier.append(i)
-        if tier is not exp.leaves:
-            expandable.append(i)
-    return exp
-
-
-def crossover_sweep(
-    widths: Optional[Any] = None,
-    sizes: Optional[Any] = None,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Scalar-vs-batched Dinic grid over (batch width x network size).
-
-    Each grid cell stacks ``width`` synthetic expansions of ``nodes``
-    copies apiece and times the full query burst both ways: a scalar
-    :func:`cut_on_packed` loop (arena recycled, as the compiled kernel
-    runs it) against one :func:`~repro.kernel.batch.solve_batch` call
-    (arena build + level-BFS solve, as the vector kernel runs it).
-    Cuts are asserted identical before any timing is trusted.  Best-of
-    ``repeats`` per side, like the matrix cells.
-
-    Returns the envelope payload ``repro.kernel.batch.crossover_nodes``
-    reads: the grid rows plus ``crossover_nodes`` — the smallest
-    network size whose widest-batch speedup, and that of every larger
-    size measured, favours the vector kernel (``None`` when the scalar
-    loop wins everywhere: auto then always resolves to ``compiled``).
-    """
-    if widths is None:
-        widths = SWEEP_WIDTHS
-    if sizes is None:
-        sizes = SWEEP_SIZES
-    if not HAVE_NUMPY:
-        return {
-            "numpy": False,
-            "widths": list(widths),
-            "sizes": list(sizes),
-            "grid": [],
-            "crossover_nodes": None,
-        }
-    from repro.kernel.batch import BatchCutArena, solve_batch
-
-    grid: List[Dict[str, Any]] = []
-    for width in widths:
-        for nodes in sizes:
-            queries = []
-            for q in range(width):
-                seed = width * 1_000_003 + nodes * 97 + q
-                queries.append((synthetic_expansion(nodes, seed), 3 + q % 4))
-            scalar_arena = PackedCutArena(flow="dinic")
-            t_scalar = float("inf")
-            scalar_cuts: List[Any] = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                scalar_cuts = [
-                    cut_on_packed(exp, lim, scalar_arena)
-                    for exp, lim in queries
-                ]
-                t_scalar = min(t_scalar, time.perf_counter() - t0)
-            batch_arena = BatchCutArena()
-            t_vector = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                batch_cuts = solve_batch(queries, batch_arena)
-                t_vector = min(t_vector, time.perf_counter() - t0)
-                if batch_cuts != scalar_cuts:
-                    raise RuntimeError(
-                        f"sweep cell width={width} nodes={nodes}: batched "
-                        "cuts diverged from scalar — timings meaningless"
-                    )
-            grid.append(
-                {
-                    "width": width,
-                    "nodes": nodes,
-                    "t_scalar_us": round(1e6 * t_scalar, 2),
-                    "t_vector_us": round(1e6 * t_vector, 2),
-                    "speedup": round(t_scalar / t_vector, 3),
-                }
-            )
-    # Crossover in network size, judged at the widest batch measured
-    # (narrow batches never amortize the numpy call overhead, and the
-    # label engine only batches wide rounds anyway): the smallest size
-    # where the vector kernel wins and keeps winning at every larger
-    # measured size.
-    widest = max(widths)
-    crossover: Optional[int] = None
-    for row in grid:
-        if row["width"] != widest:
-            continue
-        if row["speedup"] >= 1.0:
-            if crossover is None:
-                crossover = row["nodes"]
-        else:
-            crossover = None
-    return {
-        "numpy": True,
-        "widths": list(widths),
-        "sizes": list(sizes),
-        "grid": grid,
-        "crossover_nodes": crossover,
-    }
 
 
 def bench_circuit(
@@ -297,17 +145,8 @@ def bench_circuit(
     }
 
 
-def as_table(
-    results: List[Dict[str, Any]],
-    envelope: Optional[Dict[str, Any]] = None,
-) -> dict:
-    """The ``BENCH_microbench.json`` payload (bench-table schema).
-
-    ``envelope`` carries machine-derived operating guidance alongside
-    the raw rows — today the :func:`crossover_sweep` result under
-    ``"crossover"``, which ``repro.kernel.batch.crossover_nodes`` reads
-    to resolve ``--kernel auto``.
-    """
+def as_table(results: List[Dict[str, Any]]) -> dict:
+    """The ``BENCH_microbench.json`` payload (bench-table schema)."""
     rows: Dict[str, Dict[str, Any]] = {}
     for res in results:
         for cell, sample in res["cells"].items():
@@ -316,15 +155,12 @@ def as_table(
             rows[f"{res['circuit']}/{cell}"] = row
         for strategy, size in res["handoff"].items():
             rows.setdefault(f"{res['circuit']}/handoff", {})[strategy] = size
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "bench-table",
         "table": "microbench",
         "rows": rows,
     }
-    if envelope is not None:
-        payload["envelope"] = envelope
-    return payload
 
 
 def render(results: List[Dict[str, Any]]) -> str:
@@ -347,27 +183,6 @@ def render(results: List[Dict[str, Any]]) -> str:
             f"{name}={size}" for name, size in res["handoff"].items()
         )
         lines.append(f"{res['circuit'] + '/handoff':<24s} | {parts} bytes")
-    return "\n".join(lines)
-
-
-def render_sweep(sweep: Dict[str, Any]) -> str:
-    lines = ["== scalar vs batched Dinic crossover =="]
-    if not sweep.get("numpy", False):
-        lines.append("numpy unavailable: sweep skipped, crossover=None")
-        return "\n".join(lines)
-    header = (
-        f"{'width':>6s} | {'nodes':>6s} | {'scalar us':>10s} | "
-        f"{'vector us':>10s} | {'speedup':>8s}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in sweep["grid"]:
-        lines.append(
-            f"{row['width']:>6d} | {row['nodes']:>6d} | "
-            f"{row['t_scalar_us']:>10.1f} | {row['t_vector_us']:>10.1f} | "
-            f"{row['speedup']:>8.3f}"
-        )
-    lines.append(f"crossover_nodes = {sweep['crossover_nodes']}")
     return "\n".join(lines)
 
 
@@ -398,11 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         help="also write BENCH_microbench.json under this directory",
     )
-    parser.add_argument(
-        "--no-sweep",
-        action="store_true",
-        help="skip the scalar-vs-batched crossover sweep",
-    )
     args = parser.parse_args(argv)
     names = args.circuits or bench_suite.quick_subset()
     results = []
@@ -410,17 +220,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         circuit = bench_suite.build(name)
         results.append(bench_circuit(circuit, k=args.k, repeats=args.repeats))
     print(render(results))
-    envelope = None
-    if not args.no_sweep:
-        sweep = crossover_sweep(repeats=args.repeats)
-        envelope = {"crossover": sweep}
-        print(render_sweep(sweep))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "BENCH_microbench.json")
-        atomic_write_json(
-            path, as_table(results, envelope), indent=2, sort_keys=False
-        )
+        atomic_write_json(path, as_table(results), indent=2, sort_keys=False)
         print(f"wrote {path}")
     return 0
 

@@ -1,7 +1,7 @@
 """Job model of the mapping service: specs, states, cancellable budgets.
 
 A *job* is one accepted mapping request: a circuit (by content id in the
-store), an algorithm, and the engine/budget options of the existing
+store), an algorithm, and the search/budget options of the existing
 mapper entry points.  Jobs move through a tiny, strictly forward state
 machine::
 
@@ -48,6 +48,11 @@ PENDING_STATES = (QUEUED, RUNNING)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
+#: Spec fields of pre-upgrade journals that no longer exist (the label
+#: path is no longer selectable); journal replay drops them.
+RETIRED_SPEC_FIELDS = frozenset({"engine", "flow", "kernel"})
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """What to map and how — the JSON-able request half of a job."""
@@ -56,11 +61,8 @@ class JobSpec:
     algorithm: str = "turbomap"
     k: int = 5
     workers: int = 1
-    engine: str = "worklist"
     warm_start: bool = True
     max_copies: int = DEFAULT_MAX_COPIES
-    flow: str = "dinic"
-    kernel: str = "compiled"
     check: bool = True
     deadline: Optional[float] = None
     probe_timeout: Optional[float] = None

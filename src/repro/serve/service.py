@@ -82,6 +82,7 @@ from repro.serve.jobs import (
     FAILED,
     PENDING_STATES,
     QUEUED,
+    RETIRED_SPEC_FIELDS,
     RUNNING,
     TERMINAL_STATES,
     Job,
@@ -267,7 +268,11 @@ class MappingService:
         kind = record.get("type")
         job_id = record.get("job")
         if kind == "accept":
-            spec = JobSpec.from_dict(record["spec"])
+            spec = JobSpec.from_dict({
+                key: value
+                for key, value in record["spec"].items()
+                if key not in RETIRED_SPEC_FIELDS
+            })
             self._jobs[job_id] = Job(
                 id=job_id, seq=int(record["seq"]), spec=spec
             )
@@ -709,7 +714,7 @@ class MappingService:
             )
         csr_handle = None
         try:
-            if workers > 1 and spec.kernel == "compiled":
+            if workers > 1:
                 # Publish the *stored* blob: zero recompilation, and the
                 # handle is caller-owned so pool restarts can't unlink it.
                 csr_handle = publish_bytes(self.store.blob(spec.circuit_id))
@@ -783,11 +788,8 @@ class MappingService:
         common = dict(
             workers=workers,
             budget=budget,
-            engine=spec.engine,
             warm_start=spec.warm_start,
             max_copies=spec.max_copies,
-            flow=spec.flow,
-            kernel=spec.kernel,
             csr_handle=csr_handle,
             cache=self.cache,
         )

@@ -1,16 +1,22 @@
 """End-to-end bit-identity across the engine matrix.
 
-The acceptance bar of the kernel layer: ``dinic+compiled`` (the new
-default) must produce byte-for-byte the same labels, phi, and mappings
-as ``ek+object`` (the original engine), with identical deterministic
-work counters where the engines share them.
+The acceptance bar of the kernel layer: ``dinic+compiled`` (the
+production path) must produce byte-for-byte the same labels, phi, and
+mappings as ``ek+object`` (the original engine, kept as a test oracle),
+with identical deterministic work counters where the engines share
+them.
 """
 
 import pytest
 
 from repro.bench import suite as bench_suite
-from repro.compat import HAVE_NUMPY
+from repro.core.driver import (
+    default_upper_bound,
+    make_resyn_hook,
+    search_min_phi,
+)
 from repro.core.labels import LabelSolver
+from repro.core.seqdecomp import DEFAULT_CMAX
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
 
@@ -20,11 +26,6 @@ MATRIX = [
     ("dinic", "object"),
     ("dinic", "compiled"),
 ]
-
-requires_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed ([vector] extra)"
-)
-
 
 def _min_phi(circuit, k=5):
     phi = 1
@@ -85,10 +86,14 @@ class TestLabelIdentity:
             LabelSolver(circuit, 5, 3, flow="bogus")
         with pytest.raises(ValueError, match="kernel"):
             LabelSolver(circuit, 5, 3, kernel="bogus")
+        # Only the compiled production kernel and the object oracle.
+        for retired in ("vector", "auto"):
+            with pytest.raises(ValueError, match="kernel"):
+                LabelSolver(circuit, 5, 3, kernel=retired)
 
 
 class TestFullMatrixIdentity:
-    """2 engines x 2 flows x 3 kernels: every combination bit-identical.
+    """2 engines x 2 flows x 2 kernels: every combination bit-identical.
 
     Labels (and phi feasibility) are identical across the *whole*
     matrix; the deterministic work counters are identical within each
@@ -97,7 +102,6 @@ class TestFullMatrixIdentity:
     but not across flows or kernels).
     """
 
-    @requires_numpy
     @pytest.mark.parametrize("name", ["bbara", "dk16"])
     def test_engine_flow_kernel_sweep(self, name):
         circuit = bench_suite.build(name)
@@ -107,7 +111,7 @@ class TestFullMatrixIdentity:
         for engine in ("worklist", "rounds"):
             engine_ref = None
             for flow in ("dinic", "ek"):
-                for kernel in ("compiled", "object", "vector"):
+                for kernel in ("compiled", "object"):
                     tag = f"{engine}/{flow}+{kernel}"
                     outcome = LabelSolver(
                         circuit, k, phi,
@@ -128,86 +132,56 @@ class TestFullMatrixIdentity:
                     assert stats.cache_hits == ref.cache_hits, tag
                     assert stats.pld_checks == ref.pld_checks, tag
 
-    @requires_numpy
-    def test_batch_counters_populate_only_under_vector(self):
-        circuit = bench_suite.build("bbara")
-        phi = _min_phi(circuit)
-        vec = LabelSolver(circuit, 5, phi, kernel="vector").run()
-        scalar = LabelSolver(circuit, 5, phi, kernel="compiled").run()
-        assert vec.stats.batched_queries > 0
-        assert vec.stats.batch_rounds > 0
-        assert scalar.stats.batched_queries == 0
-        assert scalar.stats.prefilter_hits == 0
-        assert scalar.stats.batch_rounds == 0
 
-    @requires_numpy
-    def test_prefilter_hits_at_infeasible_phi(self):
-        # The witness prefilter consumes re-validated witness cuts — a
-        # worklist-engine path that only gets exercised while labels
-        # are still climbing, i.e. at an infeasible phi.
-        circuit = bench_suite.build("bbara")
-        phi = _min_phi(circuit)
-        assert phi > 1, "bbara must be infeasible below its optimum"
-        vec = LabelSolver(circuit, 5, phi - 1, kernel="vector").run()
-        ref = LabelSolver(circuit, 5, phi - 1, kernel="compiled").run()
-        assert not vec.feasible and not ref.feasible
-        assert vec.labels == ref.labels
-        assert vec.stats.prefilter_hits > 0
-        assert vec.stats.flow_queries == ref.stats.flow_queries
-        assert vec.stats.cache_hits == ref.stats.cache_hits
-
-    def test_auto_kernel_resolves_to_concrete_kernel(self):
-        solver = LabelSolver(bench_suite.build("bbara"), 5, 3, kernel="auto")
-        assert solver.kernel in ("compiled", "vector")
-
-    def test_vector_without_numpy_is_still_accepted(self, monkeypatch):
-        # The degradation path: "vector" resolves through the batch
-        # module, which maps it to "compiled" when numpy is missing.
-        import repro.kernel.batch as batch
-
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        solver = LabelSolver(bench_suite.build("bbara"), 5, 3, kernel="vector")
-        assert solver.kernel == "compiled"
-
-    @requires_numpy
-    def test_turbomap_vector_kernel_matches(self):
-        vec = turbomap(
-            bench_suite.build("bbara"), 5, check=False, kernel="vector"
-        )
-        ref = turbomap(bench_suite.build("bbara"), 5, check=False)
-        assert vec.phi == ref.phi
-        assert vec.n_luts == ref.n_luts
-        assert sorted(vec.outcomes) == sorted(ref.outcomes)
+def _oracle_search(circuit, upper_bound, resynthesize, **label_path):
+    """The phi search on the paper's path: rounds engine, EK, objects."""
+    options = {"engine": "rounds", "flow": "ek", "kernel": "object"}
+    options.update(label_path)
+    phi, outcomes = search_min_phi(
+        circuit, 5, upper_bound, resynthesize, **options
+    )
+    return phi, outcomes[phi].labels
 
 
 class TestMapperIdentity:
+    """The production mappers against the test-oracle label path."""
+
     def test_turbomap_matches_reference_engine(self):
-        new = turbomap(bench_suite.build("bbara"), 5, check=False)
-        old = turbomap(
-            bench_suite.build("bbara"), 5, check=False,
-            flow="ek", kernel="object",
+        circuit = bench_suite.build("bbara")
+        new = turbomap(circuit.copy(), 5, check=False)
+        phi, labels = _oracle_search(
+            circuit, default_upper_bound(circuit), False
         )
-        assert new.phi == old.phi
-        assert new.n_luts == old.n_luts
-        assert sorted(new.outcomes) == sorted(old.outcomes)
+        assert new.phi == phi
+        assert list(new.labels) == list(labels)
 
     def test_turbosyn_matches_reference_engine(self):
-        new = turbosyn(bench_suite.build("dk16"), 5, check=False)
-        old = turbosyn(
-            bench_suite.build("dk16"), 5, check=False,
-            flow="ek", kernel="object",
-        )
-        assert new.phi == old.phi
-        assert new.n_luts == old.n_luts
+        circuit = bench_suite.build("dk16")
+        new = turbosyn(circuit.copy(), 5, check=False)
+        bound = turbomap(circuit.copy(), 5, check=False).phi
+        phi, labels = _oracle_search(circuit, bound, True)
+        assert new.phi == phi
+        assert list(new.labels) == list(labels)
+        # The oracle labels are a fixpoint of the resynthesizing solver
+        # itself, cold, at the optimum and infeasible just below it.
+        hook = make_resyn_hook(DEFAULT_CMAX)
+        at = LabelSolver(
+            circuit, 5, phi, resyn_hook=hook,
+            engine="rounds", flow="ek", kernel="object",
+        ).run()
+        assert at.feasible
+        assert at.labels == list(labels)
+        if phi > 1:
+            below = LabelSolver(
+                circuit, 5, phi - 1, resyn_hook=hook,
+                engine="rounds", flow="ek", kernel="object",
+            ).run()
+            assert not below.feasible
 
     def test_rounds_engine_accepts_kernel(self):
-        res = turbomap(
-            bench_suite.build("bbara"), 5, check=False,
-            engine="rounds", flow="dinic", kernel="compiled",
+        circuit = bench_suite.build("bbara")
+        bound = default_upper_bound(circuit)
+        compiled = _oracle_search(
+            circuit, bound, False, flow="dinic", kernel="compiled"
         )
-        ref = turbomap(
-            bench_suite.build("bbara"), 5, check=False,
-            engine="rounds", flow="ek", kernel="object",
-        )
-        assert res.phi == ref.phi
-        assert res.n_luts == ref.n_luts
+        assert compiled == _oracle_search(circuit, bound, False)

@@ -1,22 +1,24 @@
 """The regression gate: baseline comparison policy and CLI exit codes."""
 
+import copy
 import json
+import os
 
 from repro.perf import check as perf_check
+from repro.perf import report as perf_report
+
+BASELINE = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "baseline.json"
+)
 
 
-def _report(runs, errors=None, engine=None, warm_start=None, flow=None, kernel=None):
-    report = {"schema": 2, "kind": "suite", "runs": runs}
+def _report(runs, errors=None, warm_start=None):
+    report = {"schema": perf_report.SCHEMA_VERSION, "kind": "suite",
+              "runs": runs}
     if errors is not None:
         report["errors"] = errors
-    if engine is not None:
-        report["schema"] = 3
-        report["engine"] = engine
+    if warm_start is not None:
         report["warm_start"] = warm_start
-    if flow is not None or kernel is not None:
-        report["schema"] = 4
-        report["flow"] = flow
-        report["kernel"] = kernel
     return report
 
 
@@ -171,12 +173,11 @@ class TestResiliencePolicy:
 
 
 class TestCounterGate:
-    """Deterministic work counters (schema 3) under the gate."""
+    """Deterministic work counters under the gate."""
 
     def _pair(self, base_fq, cur_fq, **kwargs):
         base = _report(
             [_run(flow_queries=base_fq, updates=100, workers=1)],
-            engine=kwargs.pop("base_engine", "worklist"),
             warm_start=kwargs.pop("base_warm", True),
         )
         cur = _report(
@@ -187,7 +188,6 @@ class TestCounterGate:
                     workers=kwargs.pop("cur_workers", 1),
                 )
             ],
-            engine=kwargs.pop("cur_engine", "worklist"),
             warm_start=kwargs.pop("cur_warm", True),
         )
         return base, cur
@@ -219,22 +219,21 @@ class TestCounterGate:
         assert not comparison.ok
         assert any("updates regressed" in r for r in comparison.regressions)
 
-    def test_engine_mismatch_downgrades_to_warning(self):
-        base, cur = self._pair(100, 300, cur_engine="rounds")
+    def test_warm_start_mismatch_downgrades_to_warning(self):
+        base, cur = self._pair(100, 300, cur_warm=False)
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert comparison.ok
         assert any(
             "flow_queries regressed" in w for w in comparison.warnings
         )
-        assert any("engine configuration" in w for w in comparison.warnings)
+        assert any("warm_start setting" in w for w in comparison.warnings)
 
-    def test_undeclared_engine_downgrades_to_warning(self):
-        # A schema-2 baseline has counters but no engine envelope: the
-        # counter comparison cannot be a hard gate.
+    def test_undeclared_warm_start_downgrades_to_warning(self):
+        # A baseline without a warm_start declaration: the counter
+        # comparison cannot be a hard gate.
         base = _report([_run(flow_queries=100, updates=100, workers=1)])
         cur = _report(
             [_run(flow_queries=300, updates=100, workers=1)],
-            engine="worklist",
             warm_start=True,
         )
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
@@ -252,12 +251,8 @@ class TestCounterGate:
         assert any("not comparable" in w for w in comparison.warnings)
 
     def test_dinic_counters_gated(self):
-        base = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
-        cur = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
+        base = _report([_run(workers=1)], warm_start=True)
+        cur = _report([_run(workers=1)], warm_start=True)
         base["runs"][0]["stats"] = {"dinic_phases": 100, "arcs_advanced": 1000}
         cur["runs"][0]["stats"] = {"dinic_phases": 200, "arcs_advanced": 1000}
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
@@ -275,38 +270,72 @@ class TestCounterGate:
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert comparison.ok
 
-    def test_flow_mismatch_downgrades_to_warning(self):
+    def _assert_v8_field_ignored(self, field, value):
+        # Schema-8 envelopes still declare engine/flow/kernel; the gate
+        # ignores them, whatever they say, and stays hard.
         base, cur = self._pair(100, 300)
-        base["flow"], base["kernel"] = "ek", "object"
-        cur["flow"], cur["kernel"] = "dinic", "object"
+        for rep in (base, cur):
+            rep["schema"] = 8
+            rep["engine"], rep["flow"], rep["kernel"] = (
+                "worklist", "dinic", "compiled"
+            )
+        base[field] = value
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
+        assert not comparison.ok
         assert any(
-            "flow_queries regressed" in w for w in comparison.warnings
+            "flow_queries regressed" in r for r in comparison.regressions
         )
+        assert not any("only warns" in w for w in comparison.warnings)
 
-    def test_kernel_mismatch_downgrades_to_warning(self):
-        base, cur = self._pair(100, 300)
-        base["flow"], base["kernel"] = "dinic", "compiled"
-        cur["flow"], cur["kernel"] = "dinic", "object"
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
+    def test_v8_flow_mismatch_keeps_hard_gate(self):
+        self._assert_v8_field_ignored("flow", "ek")
+
+    def test_v8_kernel_mismatch_keeps_hard_gate(self):
+        self._assert_v8_field_ignored("kernel", "object")
 
     def test_undeclared_flow_keeps_hard_gate(self):
-        # A schema-3 baseline (no flow/kernel fields) against a schema-4
-        # current run: the engine fields still match, so the counter
-        # gate stays hard — old baselines keep their teeth.
+        # A schema-8 baseline declaring flow/kernel against a schema-9
+        # current run that no longer has them: the gate stays hard.
         base, cur = self._pair(100, 300)
-        cur["flow"], cur["kernel"] = "dinic", "compiled"
+        base["schema"] = 8
+        base["flow"], base["kernel"] = "dinic", "compiled"
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert not comparison.ok
 
     def test_matching_flow_kernel_hard_gate(self):
         base, cur = self._pair(100, 300)
         for rep in (base, cur):
+            rep["schema"] = 8
             rep["flow"], rep["kernel"] = "dinic", "compiled"
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert not comparison.ok
+
+    def test_new_writer_growth_fails_against_committed_baseline(
+        self, tmp_path, capsys
+    ):
+        # The CI gate end to end: a report from the current writer whose
+        # flow_queries grew 20% must fail against benchmarks/baseline.json
+        # on counters alone (phi and LUTs unchanged), with no
+        # "counter growth only warns" downgrade.
+        baseline = perf_report.load_report(BASELINE)
+        runs = copy.deepcopy(baseline["runs"])
+        for run in runs:
+            stats = run.get("stats") or {}
+            if stats.get("flow_queries"):
+                stats["flow_queries"] = int(stats["flow_queries"] * 1.2)
+        current = perf_report.suite_report(
+            runs, k=baseline.get("k"), workers=baseline["workers"]
+        )
+        path = tmp_path / "current.json"
+        perf_report.write_report(current, str(path))
+        assert perf_check.main(
+            [BASELINE, str(path), "--tolerance", "0.25",
+             "--counter-tolerance", "0.10"]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "flow_queries regressed" in out
+        assert "only warns" not in out
+        assert "phi regressed" not in out
 
     def test_degraded_counter_regression_warns(self):
         base, cur = self._pair(100, 300)
@@ -347,12 +376,8 @@ class TestCacheCounterGate:
     cache hits between two warm runs is the regression."""
 
     def _pair(self, base_hits, cur_hits):
-        base = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
-        cur = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
+        base = _report([_run(workers=1)], warm_start=True)
+        cur = _report([_run(workers=1)], warm_start=True)
         base["runs"][0]["stats"] = {"outcome_cache_hits": base_hits}
         cur["runs"][0]["stats"] = {"outcome_cache_hits": cur_hits}
         return base, cur

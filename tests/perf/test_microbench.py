@@ -2,24 +2,18 @@
 
 import json
 
-import pytest
-
 from repro.bench import suite as bench_suite
-from repro.compat import HAVE_NUMPY
 from repro.perf import microbench
 from repro.perf.report import SCHEMA_VERSION
 
-BASE_CELLS = {"ek+object", "ek+compiled", "dinic+object", "dinic+compiled"}
+CELLS = {"ek+object", "ek+compiled", "dinic+object", "dinic+compiled"}
 
 
 class TestBenchCircuit:
     def test_rows_cover_the_matrix(self):
         circuit = bench_suite.build("bbara")
         res = microbench.bench_circuit(circuit, k=5, repeats=1)
-        expected = set(BASE_CELLS)
-        if HAVE_NUMPY:
-            expected.add("dinic+vector")
-        assert set(res["cells"]) == expected
+        assert set(res["cells"]) == CELLS
         for sample in res["cells"].values():
             assert sample["flow_queries"] > 0
             assert sample["t_flow"] >= 0.0
@@ -38,58 +32,12 @@ class TestBenchCircuit:
         assert len(handle_sizes) == 1
 
 
-class TestCrossoverSweep:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_sweep_grid_and_crossover_shape(self):
-        sweep = microbench.crossover_sweep(
-            widths=(2, 8), sizes=(32, 96), repeats=1
-        )
-        assert sweep["numpy"] is True
-        assert len(sweep["grid"]) == 4
-        for row in sweep["grid"]:
-            assert row["t_scalar_us"] > 0.0
-            assert row["t_vector_us"] > 0.0
-            assert row["speedup"] > 0.0
-        crossover = sweep["crossover_nodes"]
-        assert crossover is None or crossover in sweep["sizes"]
-
-    def test_sweep_without_numpy_is_inert(self, monkeypatch):
-        monkeypatch.setattr(microbench, "HAVE_NUMPY", False)
-        sweep = microbench.crossover_sweep(widths=(2,), sizes=(16,))
-        assert sweep == {
-            "numpy": False,
-            "widths": [2],
-            "sizes": [16],
-            "grid": [],
-            "crossover_nodes": None,
-        }
-
-    def test_envelope_reaches_the_auto_kernel(self, tmp_path):
-        from repro.kernel.batch import crossover_nodes
-
-        payload = microbench.as_table(
-            [], envelope={"crossover": {"crossover_nodes": 97}}
-        )
-        path = tmp_path / "BENCH_microbench.json"
-        path.write_text(json.dumps(payload))
-        assert crossover_nodes(str(path)) == 97
-
-    def test_synthetic_expansion_is_deterministic(self):
-        a = microbench.synthetic_expansion(48, seed=7)
-        b = microbench.synthetic_expansion(48, seed=7)
-        assert (a.interior, a.candidates, a.leaves, a.edges) == (
-            b.interior, b.candidates, b.leaves, b.edges
-        )
-        total = len(a.interior) + len(a.candidates) + len(a.leaves)
-        assert total == 48
-
-
 class TestCli:
     def test_main_writes_bench_json(self, tmp_path, capsys):
         rc = microbench.main(
             [
                 "--circuits", "bbara", "--repeats", "1",
-                "--no-sweep", "--out", str(tmp_path),
+                "--out", str(tmp_path),
             ]
         )
         assert rc == 0
@@ -100,19 +48,4 @@ class TestCli:
         assert payload["kind"] == "bench-table"
         assert any(row.endswith("/handoff") for row in payload["rows"])
         assert "bbara/dinic+compiled" in payload["rows"]
-        assert "envelope" not in payload  # --no-sweep
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_main_records_envelope_with_sweep(self, tmp_path, capsys,
-                                              monkeypatch):
-        monkeypatch.setattr(microbench, "SWEEP_WIDTHS", (2,))
-        monkeypatch.setattr(microbench, "SWEEP_SIZES", (24,))
-        rc = microbench.main(
-            ["--circuits", "s838", "--repeats", "1", "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        assert "crossover" in capsys.readouterr().out
-        payload = json.loads((tmp_path / "BENCH_microbench.json").read_text())
-        crossover = payload["envelope"]["crossover"]
-        assert crossover["grid"], crossover
-        assert "crossover_nodes" in crossover
+        assert "envelope" not in payload

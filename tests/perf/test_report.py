@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.driver import run_mapper
 from repro.perf import report as perf_report
 from tests.helpers import random_seq_circuit
@@ -71,17 +73,21 @@ class TestSuiteReport:
         assert loaded == json.loads(json.dumps(report))
 
     def test_envelope_records_engine_configuration(self):
+        # Production has one label path: warm_start is the only search
+        # option the envelope declares.
         report = perf_report.suite_report([], k=3)
-        assert report["schema"] == 8
-        assert report["engine"] == "worklist"
+        assert report["schema"] == 9
         assert report["warm_start"] is True
-        assert report["flow"] == "dinic"
-        assert report["kernel"] == "compiled"
-        rounds = perf_report.suite_report(
-            [], k=3, engine="rounds", warm_start=False
-        )
-        assert rounds["engine"] == "rounds"
-        assert rounds["warm_start"] is False
+        for retired in ("engine", "flow", "kernel"):
+            assert retired not in report
+        cold = perf_report.suite_report([], k=3, warm_start=False)
+        assert cold["warm_start"] is False
+
+    def test_stats_drop_batch_counters(self):
+        circuit, result = _result()
+        stats = perf_report.mapper_run(result, circuit)["stats"]
+        # No counter of the removed vector-kernel batching.
+        assert not [k for k in stats if "batch" in k or "prefilter" in k]
 
     def test_stats_carry_warm_start_counters(self):
         circuit, result = _result()
@@ -105,32 +111,43 @@ class TestSuiteReport:
         assert report["cache"] == snapshot
         assert perf_report.suite_report([], k=3)["cache"] is None
 
-    def test_load_tolerates_schema_seven_without_cache(self, tmp_path):
-        # A schema-7 report predates the cache envelope: the loader
-        # fills it as None so v8 consumers need no special-casing.
-        path = tmp_path / "v7.json"
+    def test_load_reads_schema_eight(self, tmp_path):
+        # The committed baseline is a schema-8 report: it must keep
+        # loading, label-path envelope fields and all.
+        path = tmp_path / "v8.json"
         path.write_text(
-            '{"schema": 7, "kind": "suite", "runs": [], "errors": []}'
+            '{"schema": 8, "kind": "suite", "runs": [], "errors": [], '
+            '"engine": "worklist", "warm_start": true, "flow": "dinic", '
+            '"kernel": "compiled", "service": null, "cache": null}'
         )
         loaded = perf_report.load_report(str(path))
-        assert loaded["cache"] is None
+        assert loaded["schema"] == 8
+        assert loaded["warm_start"] is True
+
+    @staticmethod
+    def _assert_schema_rejected(tmp_path, schema):
+        path = tmp_path / f"v{schema}.json"
+        path.write_text(
+            f'{{"schema": {schema}, "kind": "suite", "runs": [], '
+            '"errors": []}'
+        )
+        with pytest.raises(ValueError, match=f"schema {schema}"):
+            perf_report.load_report(str(path))
+
+    def test_load_rejects_schema_one(self, tmp_path):
+        self._assert_schema_rejected(tmp_path, 1)
+
+    def test_load_rejects_schema_two(self, tmp_path):
+        self._assert_schema_rejected(tmp_path, 2)
+
+    def test_load_rejects_schema_seven(self, tmp_path):
+        self._assert_schema_rejected(tmp_path, 7)
 
     def test_load_tolerates_bare_run_list(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text('[{"circuit": "x", "algorithm": "a", "phi": 1}]')
         loaded = perf_report.load_report(str(path))
         assert loaded["runs"][0]["circuit"] == "x"
-
-    def test_load_tolerates_schema_two(self, tmp_path):
-        # Schema-2 envelope: no engine / warm_start fields; the loader
-        # fills them as unknown so the counter gate stays soft.
-        path = tmp_path / "v2.json"
-        path.write_text(
-            '{"schema": 2, "kind": "suite", "runs": [], "errors": []}'
-        )
-        loaded = perf_report.load_report(str(path))
-        assert loaded["engine"] is None
-        assert loaded["warm_start"] is None
 
     def test_load_rejects_non_report(self, tmp_path):
         path = tmp_path / "junk.json"

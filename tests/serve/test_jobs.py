@@ -37,6 +37,18 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="unknown job spec field"):
             JobSpec.from_dict({"circuit_id": "abc", "fidelity": "max"})
 
+    def test_rejects_retired_label_path_fields(self):
+        # The label path is no longer selectable: a spec naming it is
+        # refused up front instead of being journaled and failing later.
+        for field in ("engine", "flow", "kernel"):
+            with pytest.raises(ValueError, match="unknown job spec field"):
+                JobSpec.from_dict({"circuit_id": "x", field: "bogus"})
+        with pytest.raises(ValueError, match="unknown job spec field"):
+            JobSpec.from_dict({
+                "circuit_id": "x", "kernel": "bogus", "engine": "psychic",
+                "flow": "nope",
+            })
+
     def test_rejects_silly_bounds(self):
         with pytest.raises(ValueError):
             JobSpec(circuit_id="abc", k=0)

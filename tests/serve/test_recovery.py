@@ -2,6 +2,8 @@
 restart from the same state directory, and prove the differential —
 every job terminal, every result bit-identical to the cold run."""
 
+import json
+
 import pytest
 
 from repro.resilience import faultinject
@@ -154,5 +156,51 @@ def test_compaction_preserves_the_job_table(tmp_path, quick_blif):
         assert recovered.status(pending["id"])["state"] == "queued"
         after = recovered.run_job_inline(pending["id"])
         assert after["state"] == "done"
+    finally:
+        recovered.stop(drain=False, timeout=1.0)
+
+
+def test_pre_upgrade_accept_records_replay_without_label_path_fields(
+    tmp_path, quick_blif
+):
+    # Journals written before the label path stopped being selectable
+    # carry engine/flow/kernel in their accept records.  Replay drops
+    # them, so the old state dir still starts and its pending jobs
+    # finish with the signature of a fresh run.
+    fresh = MappingService(str(tmp_path / "fresh"))
+    try:
+        reference = fresh.run_job_inline(fresh.submit_circuit(
+            quick_blif, algorithm="turbomap", k=4
+        )["id"])
+    finally:
+        fresh.stop(drain=False, timeout=1.0)
+
+    state = str(tmp_path / "state")
+    service = MappingService(state)
+    view = service.submit_circuit(quick_blif, algorithm="turbomap", k=4)
+    _abandon(service)
+    journal_path = service._journal.path
+    with open(journal_path) as fh:
+        records = [json.loads(line) for line in fh]
+    for record in records:
+        if record["type"] == "accept":
+            record["spec"].update(
+                engine="rounds", flow="ek", kernel="vector"
+            )
+    with open(journal_path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+    recovered = MappingService(state)
+    try:
+        assert recovered.recovered["replayed_pending"] == [view["id"]]
+        spec = recovered.status(view["id"])["spec"]
+        for retired in ("engine", "flow", "kernel"):
+            assert retired not in spec
+        done = recovered.run_job_inline(view["id"])
+        assert done["state"] == "done"
+        assert (
+            done["result"]["signature"] == reference["result"]["signature"]
+        )
     finally:
         recovered.stop(drain=False, timeout=1.0)

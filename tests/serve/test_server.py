@@ -199,6 +199,19 @@ class TestErrorMapping:
         assert info.value.status == 400
         assert "unknown job spec field" in info.value.body["message"]
 
+    @pytest.mark.parametrize("field", ["engine", "flow", "kernel"])
+    def test_retired_label_path_field_is_400(self, served, quick_blif, field):
+        circuit_id = served.upload_circuit(quick_blif)
+        with pytest.raises(ServeError) as info:
+            served.submit(circuit_id=circuit_id, **{field: "compiled"})
+        assert info.value.status == 400
+        assert "unknown job spec field" in info.value.body["message"]
+        with pytest.raises(ServeError) as info:
+            served.submit_suite([circuit_id], ["turbomap"], **{field: "x"})
+        assert info.value.status == 400
+        assert "unknown job spec field" in info.value.body["message"]
+        assert served.jobs() == []  # nothing was journaled
+
     def test_unknown_circuit_is_400(self, served):
         with pytest.raises(ServeError) as info:
             served.submit(circuit_id="not-a-circuit")

@@ -210,6 +210,34 @@ class TestDegradation:
         assert len(notes) == 1
 
 
+    def test_parallel_job_publishes_the_stored_blob(
+        self, service, quick_blif, monkeypatch
+    ):
+        # Every parallel job hands its workers the stored CSR blob; the
+        # search never compiles and publishes one of its own.
+        import repro.perf.parallel as parallel
+        import repro.serve.service as service_module
+
+        published = []
+        real_publish = service_module.publish_bytes
+
+        def spy(blob):
+            published.append(blob)
+            return real_publish(blob)
+
+        def no_publish(_compiled):
+            raise AssertionError("search published its own CSR")
+
+        monkeypatch.setattr(service_module, "publish_bytes", spy)
+        monkeypatch.setattr(parallel, "publish_csr", no_publish)
+        view = service.submit_circuit(
+            quick_blif, algorithm="turbomap", k=4, workers=2
+        )
+        done = service.run_job_inline(view["id"])
+        assert done["state"] == "done"
+        assert published == [service.store.blob(view["spec"]["circuit_id"])]
+
+
 class TestStoreHealing:
     def test_corrupt_blob_heals_and_is_noted(self, service, quick_blif):
         view = service.submit_circuit(quick_blif, algorithm="turbomap", k=4)
@@ -236,7 +264,7 @@ class TestReport:
             view = service.submit_circuit(blif, algorithm="turbomap", k=4)
             service.run_job_inline(view["id"])
         report = service.report()
-        assert report["schema"] == 8
+        assert report["schema"] == 9
         assert len(report["runs"]) == 2
         for run in report["runs"]:
             assert run["job"]["signature"]
