@@ -24,11 +24,23 @@ Two layers:
 Every produced structure is exact: ``LutTree.to_truthtable`` recomposes the
 original function bit-for-bit (property-tested in
 ``tests/boolfn/test_decompose.py``).
+
+Decomposition memo.  The synthesis loop compares ready times only with
+each other and with the deadline, so its answer is unchanged when every
+arrival and the deadline shift by one constant — except the constant
+function's ``1 <= deadline`` test.  :func:`synthesize_lut_tree` therefore
+answers from a process-wide :func:`functools.lru_cache` of
+:data:`MEMO_SIZE` entries keyed on ``(f, arrivals - deadline + base, k,
+base)`` with ``base = 1 if deadline >= 1 else 0``, which keeps that one
+absolute test exact.  Every caller (TurboSYN's sequential decomposition,
+FlowSYN, gate decomposition) shares the memo, and the trees it returns
+are frozen, so sharing them is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.boolfn.truthtable import TruthTable
@@ -36,6 +48,12 @@ from repro.boolfn.truthtable import TruthTable
 #: Safety valve: maximum number of column-multiplicity evaluations a single
 #: ``synthesize_lut_tree`` call may spend before giving up.
 MAX_ATTEMPTS = 96
+
+#: Entries of the process-wide decomposition memo.  Repeats arrive close
+#: together: on the four FSM benchmarks 256 entries keep 8098 of the 9029
+#: hits an unbounded memo gets, and larger bounds bought no measurable
+#: time.
+MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -131,7 +149,7 @@ def disjoint_decompose(
 # ----------------------------------------------------------------------
 # LUT trees with arrival times
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class Lut:
     """One LUT of a :class:`LutTree`.
 
@@ -144,17 +162,18 @@ class Lut:
     inputs: Tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LutTree:
     """A DAG of K-LUTs realizing one function of the external leaves.
 
     ``luts`` is in topological order (a LUT only references earlier LUTs);
     the last LUT is the root.  ``num_leaves`` is the arity of the realized
-    function.
+    function.  Trees are immutable: the decomposition memo hands one tree
+    to every caller that asks the same question.
     """
 
     num_leaves: int
-    luts: List[Lut] = field(default_factory=list)
+    luts: Tuple[Lut, ...] = ()
 
     @property
     def root(self) -> int:
@@ -236,13 +255,25 @@ def synthesize_lut_tree(
     encoder LUTs), repeating until the image fits one K-LUT.  Bound sets
     that do not reduce support are retried with smaller sizes and shifted
     windows, within a fixed attempt budget.
+
+    Answers come from the module's decomposition memo (see the module
+    docstring); the returned tree may be shared with other callers.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if len(arrival) != f.n:
         raise ValueError("arrival vector length mismatch")
+    base = 1 if deadline >= 1 else 0
+    shift = base - deadline
+    return _lut_tree(f, tuple(a + shift for a in arrival), k, base)
 
-    tree = LutTree(num_leaves=f.n)
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _lut_tree(
+    f: TruthTable, arrival: Tuple[int, ...], k: int, deadline: int
+) -> Optional[LutTree]:
+    """The synthesis loop behind :func:`synthesize_lut_tree` (memoized)."""
+    luts: List[Lut] = []
     # Current working function over "signals": each signal is a leaf index
     # (>= 0) or a LUT output (< 0).  ``current`` has one variable per signal.
     signals: List[int] = list(range(f.n))
@@ -255,16 +286,14 @@ def synthesize_lut_tree(
     while True:
         if current.n == 0:
             # Constant function: emit one zero-input LUT.
-            tree.luts.append(Lut(current, ()))
-            return tree if 1 <= deadline else None
+            luts.append(Lut(current, ()))
+            return LutTree(f.n, tuple(luts)) if 1 <= deadline else None
         worst = max(ready)
         if current.n <= k:
             if worst + 1 > deadline:
                 return None
-            tree.luts.append(
-                Lut(current, tuple(signals))
-            )
-            return tree
+            luts.append(Lut(current, tuple(signals)))
+            return LutTree(f.n, tuple(luts))
         # Need to shrink the support: pick a bound set among the earliest
         # arriving signals.  Encoder outputs are ready at max(bound)+1 and
         # must still pass through at least one more LUT (the image), so
@@ -293,10 +322,8 @@ def synthesize_lut_tree(
         code_refs: List[int] = []
         for alpha in step.alphas:
             shrunk, alpha_sup = alpha.shrink_to_support()
-            tree.luts.append(
-                Lut(shrunk, tuple(bound_signals[i] for i in alpha_sup))
-            )
-            code_refs.append(-len(tree.luts))
+            luts.append(Lut(shrunk, tuple(bound_signals[i] for i in alpha_sup)))
+            code_refs.append(-len(luts))
         # New working function: code vars first, then surviving free vars.
         signals = code_refs + [signals[i] for i in step.free]
         ready = [bound_ready] * len(code_refs) + [ready[i] for i in step.free]

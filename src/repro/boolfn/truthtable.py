@@ -15,12 +15,20 @@ numpy dependency — only the explicit :meth:`TruthTable.from_array` /
 :meth:`TruthTable.to_array` ndarray conversions require the ``[vector]``
 extra.
 
+Every per-variable operation starts from the variable's mask (the rows
+with ``x_i = 1``), built once per ``(i, n)`` by :func:`_var_mask`.
+Dependence tests are a single shift-xor-and against that mask:
+:meth:`TruthTable.depends_on` and :meth:`TruthTable.support` allocate no
+cofactor tables, which keeps the LUT-tree synthesizer's support
+projections cheap.
+
 The companion :mod:`repro.boolfn.bdd` module provides a ROBDD engine used to
 cross-check decompositions and for equivalence checking of larger functions.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.compat import require_numpy
@@ -45,6 +53,17 @@ def _periodic_mask(block: int, period: int, total: int) -> int:
     return mask & ((1 << total) - 1)
 
 
+@lru_cache(maxsize=None)
+def _var_mask(i: int, n: int) -> int:
+    """Rows of an ``n``-variable table with ``x_i = 1`` (the bits of ``x_i``).
+
+    At most ``MAX_VARS * (MAX_VARS + 1) / 2`` distinct masks exist, so the
+    cache is unbounded.
+    """
+    half = 1 << i
+    return _periodic_mask(((1 << half) - 1) << half, half << 1, 1 << n)
+
+
 def _swap_vars_bits(bits: int, n: int, i: int, j: int) -> int:
     """Table bits with variables ``i`` and ``j`` exchanged (delta-swap).
 
@@ -56,10 +75,7 @@ def _swap_vars_bits(bits: int, n: int, i: int, j: int) -> int:
         return bits
     if i > j:
         i, j = j, i
-    total = 1 << n
-    mask_i = _periodic_mask(((1 << (1 << i)) - 1) << (1 << i), 1 << (i + 1), total)
-    mask_j = _periodic_mask(((1 << (1 << j)) - 1) << (1 << j), 1 << (j + 1), total)
-    mask = mask_i & ~mask_j
+    mask = _var_mask(i, n) & ~_var_mask(j, n)
     delta = (1 << j) - (1 << i)
     t = ((bits >> delta) ^ bits) & mask
     return bits ^ t ^ (t << delta)
@@ -139,18 +155,7 @@ class TruthTable:
         _check_nvars(n)
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} outside [0, {n})")
-        period = 1 << (i + 1)
-        half = 1 << i
-        block = ((1 << half) - 1) << half  # one period: low half 0, high half 1
-        table = 0
-        width = period
-        # Double the pattern until it spans the full table.
-        full = 1 << n
-        table = block
-        while width < full:
-            table |= table << width
-            width <<= 1
-        return cls(n, table)
+        return cls(n, _var_mask(i, n))
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "TruthTable":
@@ -229,8 +234,16 @@ class TruthTable:
         return bin(self.bits).count("1")
 
     def depends_on(self, i: int) -> bool:
-        """True when the function essentially depends on variable ``i``."""
-        return self.cofactor_keep(i, 0).bits != self.cofactor_keep(i, 1).bits
+        """True when the function essentially depends on variable ``i``.
+
+        Shifting the table up by ``2**i`` lines every ``x_i = 0`` row up
+        with its ``x_i = 1`` partner; ``f`` depends on ``x_i`` iff some
+        pair differs under ``x_i``'s mask.
+        """
+        if not 0 <= i < self.n:
+            raise ValueError(f"variable index {i} outside [0, {self.n})")
+        bits = self.bits
+        return bool((bits ^ (bits << (1 << i))) & _var_mask(i, self.n))
 
     def support(self) -> Tuple[int, ...]:
         """Indices of the variables the function essentially depends on."""
@@ -300,7 +313,7 @@ class TruthTable:
         """
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} outside [0, {self.n})")
-        mask = TruthTable.var(i, self.n).bits
+        mask = _var_mask(i, self.n)
         full = (1 << self.size) - 1
         if val:
             high = self.bits & mask
@@ -322,10 +335,9 @@ class TruthTable:
             raise ValueError(f"variable {i} is essential; cannot remove")
         # Keep the x_i = 0 rows (blocks of 2**i bits at stride 2**(i+1)),
         # then close the gaps by doubling the block size each pass.
-        block = 1 << i
         total = 1 << self.n
-        bits = self.bits & _periodic_mask((1 << block) - 1, 2 * block, total)
-        size = block
+        bits = self.bits & ~_var_mask(i, self.n)
+        size = 1 << i
         while size < total >> 1:
             even = _periodic_mask((1 << size) - 1, 4 * size, total)
             bits = (bits & even) | ((bits >> size) & (even << size))

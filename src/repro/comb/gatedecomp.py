@@ -50,11 +50,11 @@ def _shannon_tree(func: TruthTable, k: int) -> LutTree:
     fits ``k``.  For ``k >= 3`` the select structure is a 3-input mux LUT;
     for ``k == 2`` the mux is lowered into three 2-input gates.
     """
-    tree = LutTree(num_leaves=func.n)
+    luts: List[Lut] = []
 
     def emit(f: TruthTable, inputs: Tuple[int, ...]) -> int:
-        tree.luts.append(Lut(f, inputs))
-        return -len(tree.luts)
+        luts.append(Lut(f, inputs))
+        return -len(luts)
 
     def build(current: TruthTable, leaf_map: List[int]) -> int:
         shrunk, sup = current.shrink_to_support()
@@ -72,7 +72,7 @@ def _shannon_tree(func: TruthTable, k: int) -> LutTree:
         return emit(_OR2, (t1, t2))
 
     build(func, list(range(func.n)))
-    return tree
+    return LutTree(func.n, tuple(luts))
 
 
 def k_bound_circuit(

@@ -17,6 +17,11 @@ machine can come back with the *old* file even though ``os.replace``
 returned — fatal for a write-ahead journal that acted on the record it
 believed durable.
 
+Every writer gets a temp name of its own (process id plus thread id), so
+concurrent writers of one path — two service threads storing the same
+new circuit — never share a temp file; the last rename wins with
+complete content either way.
+
 Two fault-injection sites bracket the danger zone: ``artifact-write``
 sits between the temp write and the rename (where a naive writer would
 have already destroyed the previous contents), and ``artifact-dirsync``
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Any, Union
 
 from repro.resilience.faultinject import fault_point
@@ -57,7 +63,9 @@ def fsync_directory(path: str) -> None:
 
 def _atomic_write(path: str, data: Union[str, bytes], binary: bool) -> None:
     path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
+    # A thread writes one file at a time, so (pid, thread) is unique
+    # among the writers alive at once.
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "wb" if binary else "w") as fh:
             fh.write(data)

@@ -28,6 +28,7 @@ restart counts, and the recovered journal's event log.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import socket
@@ -299,7 +300,8 @@ def wait_ready(client: ServeClient, process: "subprocess.Popen[bytes]",
         try:
             client.healthz()
             return
-        except (urllib.error.URLError, ConnectionError, ServeError):
+        except (urllib.error.URLError, ConnectionError,
+                http.client.HTTPException, ServeError):
             time.sleep(0.1)
     raise TimeoutError("server did not become ready")
 
@@ -431,8 +433,10 @@ def _run_suite_subprocess(
                 ):
                     return {"jobs": views, "restarts": restarts}
                 time.sleep(0.2)
-            except (urllib.error.URLError, ConnectionError, QueueFull):
-                # Server gone (the kill fired) or momentarily shedding.
+            except (urllib.error.URLError, ConnectionError,
+                    http.client.HTTPException, QueueFull):
+                # Server gone (the kill fired; a kill mid-response surfaces
+                # as IncompleteRead) or momentarily shedding.
                 if process.poll() is None:
                     time.sleep(0.2)
                     continue

@@ -1,11 +1,20 @@
 """Tests for Roth-Karp decomposition and deadline-driven LUT-tree synthesis."""
 
+import dataclasses
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compat import default_rng
-from repro.boolfn.decompose import disjoint_decompose, synthesize_lut_tree
+from repro.boolfn.decompose import (
+    _lut_tree,
+    disjoint_decompose,
+    synthesize_lut_tree,
+)
 from repro.boolfn.truthtable import TruthTable
 
 tables = st.integers(min_value=2, max_value=6).flatmap(
@@ -29,6 +38,17 @@ def and_of(n):
     for i in range(n):
         t = t & TruthTable.var(i, n)
     return t
+
+
+def gate_tree_of(n, rnd):
+    """A decomposable function: a random AND/OR/XOR chain over n vars."""
+    f = TruthTable.var(0, n)
+    for i in range(1, n):
+        v = TruthTable.var(i, n)
+        f = {"and": f & v, "or": f | v, "xor": f ^ v}[
+            rnd.choice(["and", "or", "xor"])
+        ]
+    return f
 
 
 class TestDisjointDecompose:
@@ -157,16 +177,126 @@ class TestLutTree:
     )
     @settings(max_examples=40, deadline=None)
     def test_synthesized_trees_are_exact(self, n, k, rnd):
-        rng = default_rng(rnd.randrange(1 << 30))
-        # Build decomposable-ish functions: trees of AND/OR/XOR.
-        f = TruthTable.var(0, n)
-        for i in range(1, n):
-            op = rnd.choice(["and", "or", "xor"])
-            v = TruthTable.var(i, n)
-            f = {"and": f & v, "or": f | v, "xor": f ^ v}[op]
+        f = gate_tree_of(n, rnd)
         tree = synthesize_lut_tree(f, [0] * n, k=k, deadline=8)
         assert tree is not None
         assert tree.to_truthtable() == f
         assert tree.max_fanin() <= k
         ready = tree.root_ready([0] * n)
         assert ready <= 8
+
+
+@st.composite
+def synthesis_cases(draw, max_vars=7):
+    """(f, arrival, k, deadline): decomposable or random functions with
+    skewed arrivals around a deadline."""
+    n = draw(st.integers(min_value=1, max_value=max_vars))
+    if draw(st.booleans()):
+        f = gate_tree_of(n, draw(st.randoms(use_true_random=False)))
+    else:
+        f = TruthTable(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    arrival = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    k = draw(st.integers(min_value=2, max_value=5))
+    deadline = draw(st.integers(min_value=-2, max_value=6))
+    return f, arrival, k, deadline
+
+
+uncached = _lut_tree.__wrapped__
+
+
+class TestDecompositionMemo:
+    """The memo keys on arrivals relative to the deadline; these pin the
+    shift invariance that makes that exact, and memo-on == memo-off."""
+
+    @given(synthesis_cases(), st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_uncached_loop_is_shift_invariant(self, case, c):
+        f, arrival, k, deadline = case
+        if f.is_const():
+            return  # the constant branch compares against 1: not shiftable
+        shifted = tuple(a + c for a in arrival)
+        assert uncached(f, shifted, k, deadline + c) == uncached(
+            f, tuple(arrival), k, deadline
+        )
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_constant_function_boundary(self, value):
+        f = TruthTable.const(3, value)
+        arrival = [4, -2, 0]
+        _lut_tree.cache_clear()
+        for deadline in (0, 1, 0, -5, 9, 1):
+            tree = synthesize_lut_tree(f, arrival, k=4, deadline=deadline)
+            if deadline < 1:
+                assert tree is None
+            else:
+                assert tree is not None
+                assert tree.to_truthtable() == f
+        # The repeated deadlines 0 and 1 were answered from the memo,
+        # each with its own answer.
+        assert _lut_tree.cache_info().hits == 2
+
+    @given(synthesis_cases(max_vars=12))
+    @settings(max_examples=80, deadline=None)
+    def test_memo_matches_uncached_function(self, case):
+        f, arrival, k, deadline = case
+        want = uncached(f, tuple(arrival), k, deadline)
+        assert synthesize_lut_tree(f, arrival, k, deadline) == want
+        # The second call answers from the memo.
+        assert synthesize_lut_tree(f, arrival, k, deadline) == want
+        if want is not None:
+            assert want.to_truthtable() == f
+            assert want.root_ready(arrival) <= deadline
+
+    def test_validation_runs_ahead_of_a_warm_memo(self):
+        f = and_of(3)
+        assert synthesize_lut_tree(f, [0, 0, 0], k=3, deadline=1) is not None
+        with pytest.raises(ValueError, match="k must be"):
+            synthesize_lut_tree(f, [0, 0, 0], k=1, deadline=1)
+        with pytest.raises(ValueError, match="length mismatch"):
+            synthesize_lut_tree(f, [0, 0], k=3, deadline=1)
+
+    def test_threads_sharing_the_memo_get_exact_answers(self):
+        # Service lanes call the memo from several threads at once: with
+        # a tiny switch interval and more threads than cores, every
+        # answer must still equal the uncached loop's.
+        rnd = random.Random(7)
+        cases = []
+        for _ in range(40):
+            n = rnd.randint(3, 8)
+            f = gate_tree_of(n, rnd)
+            arrival = tuple(rnd.randint(-2, 2) for _ in range(n))
+            cases.append((f, arrival, rnd.randint(2, 5), rnd.randint(0, 4)))
+        want = [uncached(*case) for case in cases]
+        errors = []
+
+        def worker(seed):
+            order = list(range(len(cases)))
+            random.Random(seed).shuffle(order)
+            for _ in range(5):
+                for i in order:
+                    if synthesize_lut_tree(*cases[i]) != want[i]:
+                        errors.append(i)
+
+        _lut_tree.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_shared_trees_are_frozen(self):
+        tree = synthesize_lut_tree(and_of(6), [0] * 6, k=4, deadline=2)
+        assert synthesize_lut_tree(and_of(6), [3] * 6, k=4, deadline=5) is tree
+        assert isinstance(tree.luts, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.luts = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.luts[0].inputs = ()

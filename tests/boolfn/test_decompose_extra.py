@@ -16,11 +16,8 @@ def and_of(n):
 class TestLutTreeApi:
     def tree_two_level(self):
         """alpha = x0 & x1; root = alpha & x2."""
-        tree = LutTree(num_leaves=3)
         and2 = TruthTable.from_function(2, lambda a, b: a and b)
-        tree.luts.append(Lut(and2, (0, 1)))
-        tree.luts.append(Lut(and2, (-1, 2)))
-        return tree
+        return LutTree(3, (Lut(and2, (0, 1)), Lut(and2, (-1, 2))))
 
     def test_ready_times(self):
         tree = self.tree_two_level()

@@ -1,5 +1,6 @@
 """Algebraic-law property tests for truth tables (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +118,42 @@ class TestAgainstBdd:
         manager = BDD(t.n)
         f = manager.from_truthtable(t)
         assert manager.sat_count(f) == t.count_ones()
+
+
+@st.composite
+def planted_support_tables(draw):
+    """Tables of 0 to 12 variables that ignore a random subset of them."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    support = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))
+    support = [i for i in support if i < n]
+    inner = TruthTable(
+        len(support), draw(st.integers(0, (1 << (1 << len(support))) - 1))
+    )
+    return inner.extend(n, support)
+
+
+class TestMaskSupport:
+    """``depends_on``/``support`` use one mask test per variable; the
+    cofactor pair is the oracle."""
+
+    @given(planted_support_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_depends_on_matches_cofactor_oracle(self, t):
+        oracle = [
+            t.cofactor_keep(i, 0) != t.cofactor_keep(i, 1) for i in range(t.n)
+        ]
+        assert [t.depends_on(i) for i in range(t.n)] == oracle
+        assert t.support() == tuple(i for i in range(t.n) if oracle[i])
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_variable_masks_select_the_x_i_rows(self, n):
+        for i in range(n):
+            rows = sum(1 << a for a in range(1 << n) if (a >> i) & 1)
+            assert TruthTable.var(i, n).bits == rows
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_out_of_range_index_raises(self, n):
+        t = TruthTable.const(n, True)
+        for i in (-1, n, n + 3):
+            with pytest.raises(ValueError):
+                t.depends_on(i)

@@ -1,5 +1,8 @@
 """Content-addressed store: dedup, blob reuse, KERN-audited hygiene."""
 
+import os
+import threading
+
 import pytest
 
 from repro.netlist.blif import read_blif
@@ -32,6 +35,37 @@ class TestDedup:
     def test_accepts_parsed_circuits_identically(self, store, quick_blif):
         circuit, _ = read_blif(quick_blif)
         assert store.put(circuit) == store.put(quick_blif)
+
+
+class TestConcurrentPut:
+    def test_two_threads_put_one_new_circuit(self, tmp_path, quick_blif):
+        # Two first uploads of one circuit race through the same atomic
+        # writes; each writer needs a temp file of its own, or one
+        # thread's rename pulls the file out from under the other.
+        for trial in range(30):
+            store = CircuitStore(str(tmp_path / f"store{trial}"))
+            barrier = threading.Barrier(2)
+            ids, errors = [], []
+
+            def put():
+                barrier.wait()
+                try:
+                    ids.append(store.put(quick_blif))
+                except Exception as exc:  # noqa: BLE001 - collected
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=put) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [], f"trial {trial}: {errors!r}"
+            assert len(ids) == 2 and ids[0] == ids[1]
+            assert sorted(os.listdir(store.root)) == [
+                f"{ids[0]}.blif", f"{ids[0]}.csr"
+            ]
+            assert store.load(ids[0])[1]["blob_reused"]
 
 
 class TestLoad:
