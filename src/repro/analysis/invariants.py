@@ -65,7 +65,7 @@ from repro.analysis.engine import (
     sort_diagnostics,
 )
 from repro.analysis.structural import lint_circuit
-from repro.core.expanded import sequential_cone_function
+from repro.core.expanded import DEFAULT_MAX_COPIES, sequential_cone_function
 from repro.kernel.csr import (
     CompiledCircuit,
     compile_circuit,
@@ -105,6 +105,9 @@ class MappingContext:
     #: ``None`` makes RET002/RET003 construct their own on the fly.
     schedule_cert: Optional[Dict[str, object]] = None
     cycle_cert: Optional[Dict[str, object]] = None
+    #: the expansion bound the run mapped under; MAP005 re-evaluates
+    #: cone functions under the same bound.
+    max_copies: int = DEFAULT_MAX_COPIES
 
     def loc(self, nid: Optional[int] = None) -> Location:
         node = None if nid is None else self.mapped.name_of(nid)
@@ -292,7 +295,9 @@ def check_cone_function(ctx: MappingContext) -> Iterator[Diagnostic]:
         if len(cut) > MAX_CONE_CUT:
             continue  # too wide for dense re-evaluation; MAP002 covers size
         try:
-            expected = sequential_cone_function(ctx.subject, v, cut)
+            expected = sequential_cone_function(
+                ctx.subject, v, cut, max_copies=ctx.max_copies
+            )
         except ValueError as exc:
             # With exact resynthesis provenance this is a hard wiring
             # fault.  Without it, a non-covering cut is exactly what a
@@ -470,6 +475,7 @@ def verify_mapping(
     compiled: Optional[CompiledCircuit] = None,
     schedule_cert: Optional[Dict[str, object]] = None,
     cycle_cert: Optional[Dict[str, object]] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> List[Diagnostic]:
     """Certify one mapping result: invariant pack + structural pass.
 
@@ -480,9 +486,10 @@ def verify_mapping(
     incremental run probed on; passing it arms the round-trip rules
     (MAP007/MAP008).  ``schedule_cert`` / ``cycle_cert`` are pre-built
     certificate blobs (:mod:`repro.analysis.certify`) for RET002/RET003
-    to re-check instead of rebuilding.  Returns every diagnostic found;
-    an empty list (or one free of ``ERROR`` findings) certifies the
-    result.
+    to re-check instead of rebuilding.  ``max_copies`` is the run's
+    expansion bound, which MAP005's cone re-evaluation keeps.  Returns
+    every diagnostic found; an empty list (or one free of ``ERROR``
+    findings) certifies the result.
     """
     ctx = MappingContext(
         subject,
@@ -495,6 +502,7 @@ def verify_mapping(
         compiled=compiled,
         schedule_cert=schedule_cert,
         cycle_cert=cycle_cert,
+        max_copies=max_copies,
     )
     diags = run_rules("mapping", ctx)
     diags += lint_circuit(CircuitContext(mapped, k))

@@ -164,7 +164,6 @@ def probe_phi(
     seed_labels: Optional[List[int]] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
     flow: str = "dinic",
-    kernel: str = "compiled",
     dirty_seed: Optional[DirtySeed] = None,
 ) -> LabelOutcome:
     """One feasibility query: run the label computation at ``phi``.
@@ -175,13 +174,12 @@ def probe_phi(
     :class:`ProbeTimeout` is raised in whichever process runs the probe.
     ``seed_labels`` warm-starts the solver from a converged label set of
     a larger period (see :func:`nearest_warm_seed`) and ``max_copies``
-    bounds each partial expansion.  ``engine`` / ``flow`` / ``kernel``
-    default to the production label path; the paper's ``"rounds"``
-    engine, ``"ek"`` flow and ``"object"`` kernel are test oracles with
-    bit-identical outcomes (see :mod:`repro.kernel`).  ``dirty_seed``
-    repairs a previous fixpoint at the same phi incrementally
-    (:class:`repro.core.labels.DirtySeed`) — still bit-identical to a
-    cold probe.
+    bounds each partial expansion.  ``engine`` / ``flow`` default to
+    the production label path; the paper's ``"rounds"`` engine and the
+    ``"ek"`` flow are test oracles with bit-identical outcomes (see
+    :mod:`repro.kernel`).  ``dirty_seed`` repairs a previous fixpoint at
+    the same phi incrementally (:class:`repro.core.labels.DirtySeed`) —
+    still bit-identical to a cold probe.
     """
     fault_point("probe", tag=f"{circuit.name}:phi={phi}")
     deadline = time.monotonic() + timeout if timeout is not None else None
@@ -199,7 +197,6 @@ def probe_phi(
         seed_labels=seed_labels,
         max_copies=max_copies,
         flow=flow,
-        kernel=kernel,
         dirty_seed=dirty_seed,
     )
     return solver.run()
@@ -268,7 +265,6 @@ def search_min_phi(
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     flow: str = "dinic",
-    kernel: str = "compiled",
     prev_outcomes: Optional[Dict[int, LabelOutcome]] = None,
     dirty: Optional[Set[int]] = None,
     cache: Optional["OutcomeCache"] = None,
@@ -297,7 +293,7 @@ def search_min_phi(
     raises a cold start would recompute.  The returned ``phi_min`` and
     its labels are identical either way; only the per-probe work drops.
 
-    ``engine`` / ``flow`` / ``kernel`` are passed to every probe (see
+    ``engine`` / ``flow`` are passed to every probe (see
     :func:`probe_phi`).
 
     ``prev_outcomes`` + ``dirty`` enable incremental repair
@@ -393,7 +389,6 @@ def search_min_phi(
                 seed_labels=seed,
                 max_copies=max_copies,
                 flow=flow,
-                kernel=kernel,
                 dirty_seed=dirty_seed,
             )
             if seed_from_cache:
@@ -440,6 +435,7 @@ def verify_result(
     k: int,
     resyn_roots: Optional[Set[str]] = None,
     compiled: Optional[object] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> SeqMapResult:
     """Certify a mapping result in place: verify, attach the certificate.
 
@@ -451,7 +447,8 @@ def verify_result(
     cone invariants do not apply).  ``compiled`` (an incrementally
     patched :class:`~repro.kernel.csr.CompiledCircuit`) additionally
     runs the CSR round-trip rules — the patched arrays must serialize
-    byte-identically to a fresh compile of the subject.  Raises
+    byte-identically to a fresh compile of the subject.  ``max_copies``
+    is the run's expansion bound, kept by the cone re-evaluation.  Raises
     :class:`repro.analysis.VerificationError` on any ERROR finding —
     a malformed mapping must never reach a report as a success.
     """
@@ -478,6 +475,7 @@ def verify_result(
         compiled=compiled,
         schedule_cert=schedule_cert,
         cycle_cert=cycle_cert,
+        max_copies=max_copies,
     )
     result.t_verify = time.perf_counter() - t0
     result.certificate = certificate(
@@ -534,8 +532,9 @@ def run_mapper(
 
     Probes run the production label path (worklist engine, Dinic flow,
     compiled kernel).  ``warm_start`` toggles cross-probe label
-    seeding and ``max_copies`` bounds each partial expansion; both
-    leave ``phi`` and the labels bit-identical.
+    seeding and ``max_copies`` bounds each partial expansion — in the
+    search and in the mapping generation after it; both leave ``phi``
+    and the labels bit-identical.
 
     ``outcomes`` seeds (and collects) the probe cache across *calls*:
     a mapping interrupted mid-search can resume from its journaled
@@ -680,6 +679,7 @@ def run_mapper(
         extra_depth=extra_depth,
         name=name,
         realizations_out=chosen,
+        max_copies=max_copies,
     )
     t_mapping = time.perf_counter() - t0
     result = SeqMapResult(
@@ -717,6 +717,7 @@ def run_mapper(
                 compiled=(
                     circuit.compiled() if prev_result is not None else None
                 ),
+                max_copies=max_copies,
             )
             if replay_final is not None:
                 from repro.cache.store import final_signature

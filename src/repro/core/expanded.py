@@ -10,27 +10,16 @@ from ``u^w`` to the root crosses exactly ``w`` registers, so a cut
 ``f(u1^w1, ..., um^wm)`` of the paper's Figure 2, realizable as one LUT
 whose input edges carry the cut weights.
 
-TurboMap's efficiency [11] comes from never materializing ``E_v`` fully.
-For a height test at threshold ``L``, copies with height
-``l(u) - phi*w + 1 > L`` can never be LUT inputs, so they are *interior*
-(collapsed into the sink and expanded through).  The paper's partial flow
-network stops right there: the first copies at or below the threshold
-become the candidate cut set.  This module additionally supports expanding
-*through* candidate copies down to a configurable floor
-(``extra_depth`` register wraps below the threshold): a candidate inside
-the LUT cluster occasionally exposes a reconvergent deeper copy that cuts
-cheaper.  ``extra_depth=0`` reproduces the paper's construction exactly;
-the ablation benchmark measures what the extra generality buys.
-
-Because every circuit cycle carries a register and ``phi >= 1``, heights
-strictly drop along weight-accumulating reverse paths, so both expansions
-terminate.
+The partial expansion a height query builds — interior, candidate and
+leaf tiers — lives in the compiled kernel
+(:func:`repro.kernel.expand.expand_partial_packed`); this module keeps
+the copy type, the expansion size bound and the exact cone function of
+a cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.boolfn.truthtable import TruthTable, eval_gate_columns
 from repro.netlist.graph import NodeKind, SeqCircuit
@@ -59,117 +48,6 @@ class ExpansionOverflow(RuntimeError):
         )
         self.node_name = node_name
         self.max_copies = max_copies
-
-
-@dataclass
-class PartialExpansion:
-    """The partial expanded circuit for one height query.
-
-    Attributes
-    ----------
-    root:
-        The root copy ``(v, 0)``.
-    interior:
-        Copies that *must* be inside the LUT cluster (height above the
-        threshold); includes the root.
-    candidates:
-        Copies that may be cut **or** absorbed into the cluster (height in
-        ``(floor, threshold]``); empty in the paper's ``extra_depth=0``
-        construction.
-    leaves:
-        Copies at or below the floor: candidate cut nodes fed straight
-        from the flow source and not expanded further.
-    edges:
-        ``(child_copy, parent_copy)`` pairs oriented toward the root: for
-        circuit edge ``e(x, u)`` and expanded copy ``u^w`` this contains
-        ``((x, w + w(e)), (u, w))``.
-    blocked:
-        True when a PI copy sits above the threshold: no cut at this
-        height exists (a PI cannot be replicated into the cluster).
-    """
-
-    root: Copy
-    interior: List[Copy] = field(default_factory=list)
-    candidates: List[Copy] = field(default_factory=list)
-    leaves: List[Copy] = field(default_factory=list)
-    edges: List[Tuple[Copy, Copy]] = field(default_factory=list)
-    blocked: bool = False
-
-
-def expand_partial(
-    circuit: SeqCircuit,
-    v: int,
-    phi: int,
-    height_of: Callable[[int, int], int],
-    threshold: int,
-    extra_depth: int = 0,
-    max_copies: int = DEFAULT_MAX_COPIES,
-) -> PartialExpansion:
-    """Partial expansion of ``E_v`` for a cut-height query.
-
-    ``height_of(u, w)`` returns the height contribution
-    ``l(u) - phi*w + 1`` of copy ``u^w``.  Copies above ``threshold`` are
-    interior; gate copies with height in ``(threshold - extra_depth*phi,
-    threshold]`` are expandable candidates; everything at or below that
-    floor (and every PI copy at or below the threshold) is a leaf.
-
-    A gate with repeated identical fanin pins (the same driver wired to
-    several inputs through the same register count) contributes one
-    expansion edge per *distinct* pin, so the edge list never carries
-    duplicate ``(child, parent)`` pairs — duplicates would become
-    redundant parallel unit edges in the downstream flow network.
-
-    Raises :class:`ExpansionOverflow` when the expansion exceeds
-    ``max_copies`` copies.
-    """
-    if circuit.kind(v) is not NodeKind.GATE:
-        raise ValueError("expanded circuits are rooted at gates")
-    floor = threshold - extra_depth * phi
-    result = PartialExpansion(root=(v, 0))
-    seen: Dict[Copy, str] = {}  # copy -> tier
-    stack: List[Copy] = [(v, 0)]
-    seen[(v, 0)] = "interior"
-    result.interior.append((v, 0))
-    count = 1
-    fanin_pairs = circuit.fanin_pairs()
-    kinds = circuit.kind_list()
-    dedup: Dict[int, List[Tuple[int, int]]] = {}
-    while stack:
-        u, w = stack.pop()
-        pins = dedup.get(u)
-        if pins is None:
-            raw = fanin_pairs[u]
-            pins = list(dict.fromkeys(raw)) if len(raw) > 1 else raw
-            dedup[u] = pins
-        for src, pin_w in pins:
-            child: Copy = (src, w + pin_w)
-            tier = seen.get(child)
-            if tier is None:
-                height = height_of(src, child[1])
-                kind = kinds[src]
-                if height > threshold:
-                    if kind is NodeKind.PI:
-                        result.blocked = True
-                        return result
-                    tier = "interior"
-                elif kind is NodeKind.GATE and height > floor:
-                    tier = "candidate"
-                else:
-                    tier = "leaf"
-                count += 1
-                if count > max_copies:
-                    raise ExpansionOverflow(circuit.name_of(v), max_copies)
-                seen[child] = tier
-                if tier == "interior":
-                    result.interior.append(child)
-                    stack.append(child)
-                elif tier == "candidate":
-                    result.candidates.append(child)
-                    stack.append(child)
-                else:
-                    result.leaves.append(child)
-            result.edges.append((child, (u, w)))
-    return result
 
 
 def sequential_cone_function(

@@ -11,6 +11,11 @@ The same machinery with the looser bound ``Cmax`` produces the wider
 min-cuts that TurboSYN's sequential functional decomposition resynthesizes
 (:mod:`repro.core.seqdecomp`).
 
+Every query runs on the compiled kernel (:mod:`repro.kernel.expand`):
+the expansion and the flow network are built on the circuit's CSR
+arrays with packed copies, and the cut is decoded back to ``(u, w)``
+tuples here, so callers see one cut type.
+
 The returned min-cut is the max-volume one (closest to the source), which
 makes each LUT swallow as much logic as possible — the low-cost choice
 the paper uses for area.
@@ -18,11 +23,15 @@ the paper uses for area.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Sequence
 
-from repro.comb.maxflow import SplitNetwork
-from repro.core.expanded import Copy, PartialExpansion, expand_partial
-from repro.kernel.expand import PackedCutArena, PackedExpansion, cut_on_packed
+from repro.core.expanded import DEFAULT_MAX_COPIES, Copy
+from repro.kernel.expand import (
+    PackedCutArena,
+    PackedExpansion,
+    cut_on_packed,
+    expand_partial_packed,
+)
 from repro.netlist.graph import SeqCircuit
 
 
@@ -30,79 +39,49 @@ def find_height_cut(
     circuit: SeqCircuit,
     v: int,
     phi: int,
-    height_of: Callable[[int, int], int],
+    labels: Sequence[int],
     threshold: int,
     max_cut: int,
     extra_depth: int = 0,
-    max_copies: Optional[int] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> Optional[List[Copy]]:
     """A cut of ``E_v`` with height ``<= threshold`` and at most
     ``max_cut`` nodes, or ``None``.
 
-    ``height_of(u, w)`` must return ``l(u) - phi*w + 1`` under the current
-    label lower bounds.  The expansion itself certifies height feasibility
-    (every candidate or leaf copy is at or below the threshold); the flow
-    bounds the cut size.  ``extra_depth`` expands through candidate copies
-    below the threshold (see :mod:`repro.core.expanded`).
+    Copy ``u^w`` has height ``labels[u] - phi*w + 1`` under the current
+    label lower bounds.  The expansion itself certifies height
+    feasibility (every candidate or leaf copy is at or below the
+    threshold); the flow bounds the cut size.  ``extra_depth`` expands
+    through candidate copies below the threshold (see
+    :mod:`repro.kernel.expand`).  Each call allocates its own flow
+    arena, so concurrent queries never share scratch state.
     """
-    kwargs = {} if max_copies is None else {"max_copies": max_copies}
-    expansion = expand_partial(
-        circuit, v, phi, height_of, threshold, extra_depth=extra_depth,
-        **kwargs,
+    expansion = expand_partial_packed(
+        circuit.compiled(),
+        v,
+        phi,
+        labels,
+        threshold,
+        extra_depth=extra_depth,
+        max_copies=max_copies,
+        name_of=circuit.name_of,
     )
     return cut_on_expansion(expansion, max_cut)
 
 
 def cut_on_expansion(
-    expansion: Union[PartialExpansion, PackedExpansion],
+    expansion: PackedExpansion,
     max_cut: int,
-    arena: Optional[Union[SplitNetwork, PackedCutArena]] = None,
+    arena: Optional[PackedCutArena] = None,
 ) -> Optional[List[Copy]]:
     """Run the bounded flow on a prepared partial expansion.
 
-    ``arena`` recycles a caller-owned :class:`SplitNetwork` (reset in
-    place) instead of allocating a fresh one — the label solver reuses
-    one arena across all of its flow queries.
-
-    Accepts either engine's expansion: a
-    :class:`~repro.kernel.expand.PackedExpansion` (compiled kernel) is
-    routed to :func:`~repro.kernel.expand.cut_on_packed` and its cut
-    decoded back to ``(u, w)`` tuples, so callers downstream of the
-    label solver (sequential decomposition, mapping replay) see one cut
-    type regardless of kernel.
+    Returns the cut as ``(u, w)`` tuples sorted by ``(u, w)``, or
+    ``None`` when the expansion is blocked or every cut needs more than
+    ``max_cut`` nodes.  ``arena`` recycles a caller-owned
+    :class:`~repro.kernel.expand.PackedCutArena`.
     """
-    if isinstance(expansion, PackedExpansion):
-        packed_arena = arena if isinstance(arena, PackedCutArena) else None
-        packed = cut_on_packed(expansion, max_cut, packed_arena)
-        if packed is None:
-            return None
-        return expansion.unpack_copies(packed)
-    if isinstance(arena, PackedCutArena):
-        raise TypeError("PackedCutArena cannot back a tuple-copy expansion")
-    if expansion.blocked:
+    packed = cut_on_packed(expansion, max_cut, arena)
+    if packed is None:
         return None
-    assert len(expansion.edges) == len(set(expansion.edges)), (
-        "partial expansion carries duplicate (child, parent) edges"
-    )
-    if not expansion.leaves and not expansion.candidates:
-        return []  # the cone closes on constant generators: zero inputs
-    if arena is None:
-        net = SplitNetwork()
-    else:
-        net = arena
-        net.reset()
-    for copy in expansion.interior:
-        net.add_dag_node(copy, cuttable=False)
-        net.attach_sink(copy)
-    for copy in expansion.candidates:
-        net.add_dag_node(copy, cuttable=True)
-    for copy in expansion.leaves:
-        net.add_dag_node(copy, cuttable=True)
-        net.attach_source(copy)
-    for child, parent in expansion.edges:
-        net.add_dag_edge(child, parent)
-    if net.max_flow(max_cut) > max_cut:
-        return None
-    cut = net.cut_nodes()
-    cut.sort()
-    return cut
+    return expansion.unpack_copies(packed)

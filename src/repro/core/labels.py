@@ -49,7 +49,7 @@ A per-node memo keyed on the labels actually read by the last flow query
 skips unchanged re-checks; the solver additionally retains the partial
 expansion behind each memo entry (so the resynthesis hook can reuse it
 at the same threshold, see :meth:`LabelSolver.expansion_for`) and
-recycles a single :class:`~repro.comb.maxflow.SplitNetwork` arena across
+recycles a single :class:`~repro.kernel.expand.PackedCutArena` across
 all of its flow queries.
 
 Cross-probe warm starts: labels are *antitone in phi* — a converged
@@ -83,19 +83,14 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.comb.maxflow import FLOWS, SplitNetwork
-from repro.core.expanded import (
-    DEFAULT_MAX_COPIES,
-    PartialExpansion,
-    expand_partial,
-)
+from repro.comb.maxflow import FLOWS
+from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.kcut import cut_on_expansion
 from repro.core.pld import grounded_members
 from repro.kernel.csr import KIND_GATE
 from repro.kernel.expand import (
     PackedCutArena,
     PackedExpansion,
-    cut_on_packed,
     expand_partial_packed,
 )
 from repro.netlist.graph import NodeKind, SeqCircuit
@@ -103,14 +98,6 @@ from repro.resilience.budget import ProbeTimeout
 
 #: Valid values of :class:`LabelSolver`'s ``engine`` parameter.
 ENGINES = ("worklist", "rounds")
-
-#: Valid values of :class:`LabelSolver`'s ``kernel`` parameter:
-#: ``"compiled"`` (the production path) runs expansions and cut queries
-#: on the circuit's flat CSR arrays with packed-int copies
-#: (:mod:`repro.kernel`); ``"object"`` is the tuple-and-dict expansion,
-#: kept as a test oracle.  Both produce bit-identical labels, cuts, and
-#: mapped networks.
-KERNELS = ("compiled", "object")
 
 
 @dataclass
@@ -260,7 +247,6 @@ class LabelSolver:
         seed_labels: Optional[Sequence[int]] = None,
         max_copies: int = DEFAULT_MAX_COPIES,
         flow: str = "dinic",
-        kernel: str = "compiled",
         dirty_seed: Optional[DirtySeed] = None,
     ) -> None:
         if phi < 1:
@@ -275,11 +261,6 @@ class LabelSolver:
                 f"unknown flow engine {flow!r}; valid engines: "
                 + ", ".join(FLOWS)
             )
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; valid kernels: "
-                + ", ".join(KERNELS)
-            )
         self.circuit = circuit
         self.k = k
         self.phi = phi
@@ -288,7 +269,6 @@ class LabelSolver:
         self.extra_depth = extra_depth
         self.engine = engine
         self.flow = flow
-        self.kernel = kernel
         self.max_copies = max_copies
         #: Absolute ``time.monotonic()`` value by which the run must
         #: finish; checked cooperatively once per label round, raising
@@ -353,9 +333,7 @@ class LabelSolver:
         self._check_l: List[Optional[int]] = [None] * n
         self._check_result: List[Optional[bool]] = [None] * n
         self._check_cone: List[Optional[List[int]]] = [None] * n
-        self._check_expansion: List[
-            Optional["PartialExpansion | PackedExpansion"]
-        ] = [None] * n
+        self._check_expansion: List[Optional[PackedExpansion]] = [None] * n
         # Worklist memo guards: per gate, cone member -> the largest
         # label under which the member's frontier copies keep their tier
         # (candidate: height <= threshold; gate leaf: height <= floor).
@@ -390,17 +368,10 @@ class LabelSolver:
         # worklist conservatively re-enqueues every such gate after any
         # in-SCC label rise (upstream SCCs are already frozen).
         self._resyn_dep: Set[int] = set()
-        # One scratch arena recycled across every cut query: the packed
-        # builder (compiled kernel) or the tuple-keyed SplitNetwork
-        # (object kernel), each backed by the selected flow engine.
-        if kernel == "compiled":
-            self._cc = circuit.compiled()
-            self._packed_arena = PackedCutArena(flow=flow)
-            self._flow_arena = None
-        else:
-            self._cc = None
-            self._packed_arena = None
-            self._flow_arena = SplitNetwork(flow=flow)
+        # One scratch arena recycled across every cut query, backed by
+        # the selected flow engine.
+        self._cc = circuit.compiled()
+        self._packed_arena = PackedCutArena(flow=flow)
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -415,10 +386,6 @@ class LabelSolver:
             self._san = label_sanitizer(self, dirty_seed)
 
     # ------------------------------------------------------------------
-    def height_of(self, u: int, w: int) -> int:
-        """Height contribution ``l(u) - phi*w + 1`` of copy ``u^w``."""
-        return self.labels[u] - self.phi * w + 1
-
     def _memo_valid(self, v: int, threshold: int) -> bool:
         """True when the last flow query of ``v`` still answers
         ``threshold``.
@@ -497,56 +464,29 @@ class LabelSolver:
                     self.stats.cache_hits += 1
                     return True
         t0 = time.perf_counter()
-        compiled = self.kernel == "compiled"
-        if compiled:
-            expansion = expand_partial_packed(
-                self._cc,
-                v,
-                self.phi,
-                self.labels,
-                threshold,
-                extra_depth=self.extra_depth,
-                max_copies=self.max_copies,
-                name_of=self.circuit.name_of,
-            )
-        else:
-            expansion = expand_partial(
-                self.circuit,
-                v,
-                self.phi,
-                self.height_of,
-                threshold,
-                extra_depth=self.extra_depth,
-                max_copies=self.max_copies,
-            )
+        expansion = expand_partial_packed(
+            self._cc,
+            v,
+            self.phi,
+            self.labels,
+            threshold,
+            extra_depth=self.extra_depth,
+            max_copies=self.max_copies,
+            name_of=self.circuit.name_of,
+        )
         t1 = time.perf_counter()
         self.stats.t_expand += t1 - t0
         self.stats.flow_queries += 1
-        if compiled:
-            packed_cut = cut_on_packed(
-                expansion, self.k, arena=self._packed_arena
-            )
-            cut = (
-                None
-                if packed_cut is None
-                else expansion.unpack_copies(packed_cut)
-            )
-            phases, arcs = self._packed_arena.drain_counters()
-        else:
-            cut = cut_on_expansion(expansion, self.k, arena=self._flow_arena)
-            phases, arcs = self._flow_arena.drain_counters()
+        cut = cut_on_expansion(expansion, self.k, arena=self._packed_arena)
+        phases, arcs = self._packed_arena.drain_counters()
         self.stats.t_flow += time.perf_counter() - t1
         self.stats.dinic_phases += phases
         self.stats.arcs_advanced += arcs
-        # Both kernels feed the memo the same view: frontier copies as
-        # (u, w) pairs.  Packed tiers decode lazily here — the frontier
-        # is tiny next to the interior the hot loops just traversed.
-        if compiled:
-            candidates = expansion.unpack_copies(expansion.candidates)
-            leaves = expansion.unpack_copies(expansion.leaves)
-        else:
-            candidates = expansion.candidates
-            leaves = expansion.leaves
+        # The memo reads frontier copies as (u, w) pairs.  Packed tiers
+        # decode lazily here — the frontier is tiny next to the interior
+        # the hot loops just traversed.
+        candidates = expansion.unpack_copies(expansion.candidates)
+        leaves = expansion.unpack_copies(expansion.leaves)
         if self.engine == "worklist":
             # Tier caps: a frontier copy u^w keeps its tier while
             # l(u) - phi*w + 1 stays at or below its bound, i.e. while
@@ -561,20 +501,12 @@ class LabelSolver:
                     cap = threshold + self.phi * w - 1
                     if guard.get(u, cap + 1) > cap:
                         guard[u] = cap
-                if compiled:
-                    kinds = self._cc.kinds
-                    for u, w in leaves:
-                        if kinds[u] == KIND_GATE:
-                            cap = floor + self.phi * w - 1
-                            if guard.get(u, cap + 1) > cap:
-                                guard[u] = cap
-                else:
-                    kind = self.circuit.kind
-                    for u, w in leaves:
-                        if kind(u) is NodeKind.GATE:
-                            cap = floor + self.phi * w - 1
-                            if guard.get(u, cap + 1) > cap:
-                                guard[u] = cap
+                kinds = self._cc.kinds
+                for u, w in leaves:
+                    if kinds[u] == KIND_GATE:
+                        cap = floor + self.phi * w - 1
+                        if guard.get(u, cap + 1) > cap:
+                            guard[u] = cap
             old_guard = self._check_guard[v]
             if old_guard:
                 for u in old_guard:
@@ -586,13 +518,9 @@ class LabelSolver:
                 self._check_cut[v] = cut
         else:
             cone_nodes = {v}
-            if compiled:
-                mask = self._cc.mask
-                for p in expansion.interior:
-                    cone_nodes.add(p & mask)
-            else:
-                for u, _w in expansion.interior:
-                    cone_nodes.add(u)
+            mask = self._cc.mask
+            for p in expansion.interior:
+                cone_nodes.add(p & mask)
             for u, _w in candidates:
                 cone_nodes.add(u)
             for u, _w in leaves:
@@ -606,13 +534,8 @@ class LabelSolver:
 
     def expansion_for(
         self, v: int, threshold: int
-    ) -> Optional["PartialExpansion | PackedExpansion"]:
+    ) -> Optional[PackedExpansion]:
         """The cached partial expansion of ``E_v`` at ``threshold``.
-
-        The expansion type follows the solver's kernel — a
-        :class:`~repro.kernel.expand.PackedExpansion` under
-        ``kernel="compiled"`` — and
-        :func:`repro.core.kcut.cut_on_expansion` accepts either.
 
         Valid only while ``_memo_valid`` can prove the recorded
         expansion still holds — structurally for the worklist engine

@@ -21,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.expanded import Copy, ExpansionOverflow, sequential_cone_function
+from repro.core.expanded import (
+    DEFAULT_MAX_COPIES,
+    Copy,
+    ExpansionOverflow,
+    sequential_cone_function,
+)
 from repro.core.kcut import find_height_cut
 from repro.core.seqdecomp import SeqResyn, find_seq_resynthesis
 from repro.netlist.graph import NodeKind, SeqCircuit
@@ -49,21 +54,24 @@ def realize_node(
     allow_resyn: bool,
     extra_depth: int = 0,
     threshold: Optional[int] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> Realization:
-    """Choose the cut (or decomposition) realizing ``l(v)`` for gate ``v``."""
+    """Choose the cut (or decomposition) realizing ``l(v)`` for gate ``v``.
 
-    def height_of(u: int, w: int) -> int:
-        return labels[u] - phi * w + 1
-
+    ``max_copies`` bounds every expansion and cone evaluation, as it
+    bounded the label search that produced ``labels``.
+    """
     target = labels[v] if threshold is None else threshold
     cut = find_height_cut(
-        circuit, v, phi, height_of, target, max_cut=k, extra_depth=extra_depth
+        circuit, v, phi, labels, target, max_cut=k, extra_depth=extra_depth,
+        max_copies=max_copies,
     )
     if cut is not None:
         return Realization(cut=tuple(cut))
     if allow_resyn:
         entry = find_seq_resynthesis(
-            circuit, v, phi, labels, target, k, cmax, extra_depth
+            circuit, v, phi, labels, target, k, cmax, extra_depth,
+            max_copies=max_copies,
         )
         if entry is not None:
             return Realization(cut=entry.cut, resyn=entry)
@@ -78,7 +86,8 @@ def realize_node(
     deep = max(extra_depth + 1, -(-target // phi))
     try:
         cut = find_height_cut(
-            circuit, v, phi, height_of, target, max_cut=k, extra_depth=deep
+            circuit, v, phi, labels, target, max_cut=k, extra_depth=deep,
+            max_copies=max_copies,
         )
     except ExpansionOverflow:
         cut = None
@@ -101,6 +110,7 @@ def generate_mapping(
     name: Optional[str] = None,
     realizations: Optional[Dict[int, Realization]] = None,
     realizations_out: Optional[Dict[int, Realization]] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> SeqCircuit:
     """Materialize the LUT network selected by the converged labels.
 
@@ -109,7 +119,8 @@ def generate_mapping(
     nodes are realized on demand.  ``realizations_out`` (when given)
     receives the realization actually chosen for every needed gate — the
     invariant verifier uses it to tell resynthesized LUT trees from plain
-    cuts.
+    cuts.  ``max_copies`` is the expansion bound of the label search,
+    applied to every expansion and cone evaluation here too.
     """
     chosen: Dict[int, Realization] = dict(realizations or {})
     needed: List[int] = []
@@ -128,7 +139,8 @@ def generate_mapping(
         idx += 1
         if v not in chosen:
             chosen[v] = realize_node(
-                circuit, v, phi, labels, k, cmax, allow_resyn, extra_depth
+                circuit, v, phi, labels, k, cmax, allow_resyn, extra_depth,
+                max_copies=max_copies,
             )
         for (u, _w) in chosen[v].cut:
             require(u)
@@ -144,7 +156,9 @@ def generate_mapping(
         real = chosen[v]
         base = circuit.name_of(v)
         if real.resyn is None:
-            func = sequential_cone_function(circuit, v, list(real.cut))
+            func = sequential_cone_function(
+                circuit, v, list(real.cut), max_copies=max_copies
+            )
             new_id[v] = mapped.add_gate_placeholder(base, func)
         else:
             refs = []

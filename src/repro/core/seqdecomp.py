@@ -11,8 +11,11 @@ are sorted by increasing ``l(u) - phi*w`` (the paper's Section 3.3), which
 :func:`repro.boolfn.decompose.synthesize_lut_tree` does internally: the
 earliest-arriving inputs are folded through Roth-Karp encoder LUTs.
 
-A success means ``l(v) = L(v)`` is achievable with resynthesis; the
-recorded cut + LUT tree is replayed by :mod:`repro.core.mapping`.
+Every min-cut of the descent is a height-cut query on the compiled
+kernel (:func:`repro.core.kcut.find_height_cut`); the first one may
+reuse the packed expansion the label solver just built.  A success means
+``l(v) = L(v)`` is achievable with resynthesis; the recorded cut + LUT
+tree is replayed by :mod:`repro.core.mapping`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.boolfn.decompose import LutTree, synthesize_lut_tree
-from repro.core.expanded import Copy, PartialExpansion, sequential_cone_function
+from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, sequential_cone_function
 from repro.core.kcut import cut_on_expansion, find_height_cut
+from repro.kernel.expand import PackedExpansion
 from repro.netlist.graph import SeqCircuit
 
 #: The paper's cut-size bound for resynthesis ("set to be 15 in TurboSYN").
@@ -49,8 +53,8 @@ def find_seq_resynthesis(
     k: int,
     cmax: int = DEFAULT_CMAX,
     extra_depth: int = 0,
-    first_expansion: Optional[PartialExpansion] = None,
-    max_copies: Optional[int] = None,
+    first_expansion: Optional[PackedExpansion] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> Optional[SeqResyn]:
     """Try to realize label ``deadline`` for ``v`` through decomposition.
 
@@ -60,19 +64,13 @@ def find_seq_resynthesis(
     ``first_expansion`` is an optional pre-built partial expansion of
     ``E_v`` at height ``deadline`` (under the *current* labels): the
     label solver hands over the expansion its just-failed K-cut check
-    built — from either kernel; :func:`cut_on_expansion` dispatches on
-    the expansion type — so the ``h = 0`` min-cut query skips the
-    identical re-expansion (the expansion depends only on ``v``, the
-    threshold and the label heights — not on the cut-size bound).
+    built, so the ``h = 0`` min-cut query skips the identical
+    re-expansion (the expansion depends only on ``v``, the threshold and
+    the label heights — not on the cut-size bound).
 
     ``max_copies`` bounds both the deeper re-expansions and the cone
-    evaluations (``None``: the module default).
+    evaluations.
     """
-    cone_kwargs = {} if max_copies is None else {"max_copies": max_copies}
-
-    def height_of(u: int, w: int) -> int:
-        return labels[u] - phi * w + 1
-
     previous_cut: Optional[Tuple[Copy, ...]] = None
     for h in range(MAX_DESCENT):
         threshold = deadline - h
@@ -80,7 +78,7 @@ def find_seq_resynthesis(
             cut = cut_on_expansion(first_expansion, cmax)
         else:
             cut = find_height_cut(
-                circuit, v, phi, height_of, threshold, max_cut=cmax,
+                circuit, v, phi, labels, threshold, max_cut=cmax,
                 extra_depth=extra_depth, max_copies=max_copies,
             )
         if cut is None:
@@ -91,10 +89,10 @@ def find_seq_resynthesis(
         previous_cut = cut_t
         if not cut:
             # Constant cone: a zero-input LUT always meets any deadline >= 1.
-            func = sequential_cone_function(circuit, v, [], **cone_kwargs)
+            func = sequential_cone_function(circuit, v, [], max_copies=max_copies)
             tree = synthesize_lut_tree(func, [], k, deadline)
             return SeqResyn((), tree) if tree is not None else None
-        func = sequential_cone_function(circuit, v, cut, **cone_kwargs)
+        func = sequential_cone_function(circuit, v, cut, max_copies=max_copies)
         arrival = [labels[u] - phi * w for (u, w) in cut]
         tree = synthesize_lut_tree(func, arrival, k, deadline)
         if tree is not None:

@@ -16,7 +16,7 @@ the caller just mutates the circuit and calls :meth:`remap`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.driver import SeqMapResult
 from repro.core.labels import LabelOutcome
@@ -26,6 +26,9 @@ from repro.incremental.dirty import dirty_region
 from repro.incremental.patch import patch_compiled
 from repro.kernel.csr import CompiledCircuit
 from repro.netlist.graph import Edit, SeqCircuit
+
+if TYPE_CHECKING:
+    from repro.analysis import Diagnostic
 
 
 def _padded(prev: SeqMapResult, n: int) -> SeqMapResult:
@@ -80,6 +83,17 @@ def remap(
         circuit.adopt_compiled(patched)
     prev = _padded(prev_result, len(circuit))
     algorithm = prev_result.algorithm
+    check = mapper_kwargs.get("check", True)
+    if check:
+        from repro.analysis import raise_on_errors, sort_diagnostics
+
+        # The label search and the mapping generation both read the
+        # adopted CSR: certify the journal, the dirty region and the
+        # patch before either trusts them.
+        findings = _audit_repair(
+            circuit, edits, dirty, compiled, ("INC001", "INC002")
+        )
+        raise_on_errors(findings, circuit.name, algorithm)
     if algorithm == "turbomap":
         result = turbomap(circuit, k, prev_result=prev, dirty=dirty, **mapper_kwargs)
     elif algorithm == "turbosyn":
@@ -89,49 +103,55 @@ def remap(
             f"cannot remap a {algorithm!r} result; "
             "expected algorithm 'turbomap' or 'turbosyn'"
         )
-    if mapper_kwargs.get("check", True):
-        _audit_repair(circuit, prev, result, edits, dirty, compiled)
+    if check:
+        # The mapper changes neither the circuit nor the dirty region;
+        # only the witness reuse needs its result.
+        findings = sort_diagnostics(
+            findings
+            + _audit_repair(
+                circuit, edits, dirty, compiled, ("INC003",), prev, result
+            )
+        )
+        if result.certificate is not None:
+            result.certificate["incremental_audit"] = {
+                "rules": ["INC001", "INC002", "INC003"],
+                "findings": [d.as_dict() for d in findings],
+            }
+        raise_on_errors(findings, circuit.name, algorithm)
     return result
 
 
 def _audit_repair(
     circuit: SeqCircuit,
-    prev: SeqMapResult,
-    result: SeqMapResult,
     edits: Sequence[Edit],
     dirty: "set[int] | frozenset[int]",
     compiled: Optional[CompiledCircuit],
-) -> None:
-    """Run the incremental rule pack over one repair's evidence.
+    rules: Sequence[str],
+    prev: Optional[SeqMapResult] = None,
+    result: Optional[SeqMapResult] = None,
+) -> List[Diagnostic]:
+    """Run ``rules`` of the incremental pack over one repair's evidence.
 
-    Folds the findings into ``result.certificate`` (under
-    ``"incremental_audit"``) and raises
-    :class:`~repro.analysis.VerificationError` on any ERROR — the same
-    contract as the mapping verifier, so a broken repair never reports
-    success.  Only called on checked runs (``check=True``).
+    :func:`remap` runs the journal, dirty-region and patched-CSR rules
+    before the mapper and the witness-reuse rule (which needs ``prev``
+    and ``result``) after it; it folds both into ``result.certificate``
+    and raises :class:`~repro.analysis.VerificationError` on any ERROR
+    — the same contract as the mapping verifier, so a broken repair
+    never reports success.  Only called on checked runs
+    (``check=True``).
     """
-    from repro.analysis import (
-        IncrementalContext,
-        audit_incremental,
-        raise_on_errors,
-    )
+    from repro.analysis import IncrementalContext, run_rules
 
     ctx = IncrementalContext(
         circuit,
         edits,
         dirty,
-        prev_outcomes=prev.outcomes,
-        outcomes=result.outcomes,
+        prev_outcomes=prev.outcomes if prev is not None else None,
+        outcomes=result.outcomes if result is not None else None,
         # The adopted kernel is the delta-patched CSR; audit that one.
         compiled=circuit.compiled() if compiled is not None else None,
     )
-    diags = audit_incremental(ctx)
-    if result.certificate is not None:
-        result.certificate["incremental_audit"] = {
-            "rules": ["INC001", "INC002", "INC003"],
-            "findings": [d.as_dict() for d in diags],
-        }
-    raise_on_errors(diags, circuit.name, result.algorithm)
+    return run_rules("incremental", ctx, select=rules)
 
 
 class IncrementalSession:

@@ -1,12 +1,10 @@
 """Flat-array compute kernels for the hot mapping loops.
 
-The label computation spends nearly all of its time in two inner
+Every height-cut query — the label solve, the resynthesis min-cut
+descent, mapping generation and area recovery — runs two inner
 kernels, executed O(n*K) times per feasibility probe: the partial
-expanded-circuit construction (:mod:`repro.core.expanded`) and the
-bounded max-flow cut query (:mod:`repro.comb.maxflow`).  The object
-engine runs both on dict-of-``(node, weight)``-tuple graphs; this
-package provides the *compiled* engine that runs them end to end on
-flat integer arrays:
+expanded-circuit construction and the bounded max-flow cut query.  This
+package runs both end to end on flat integer arrays:
 
 * :mod:`repro.kernel.csr` — :class:`CompiledCircuit`: the circuit's
   fanin structure compiled once into CSR arrays (offsets, sources,
@@ -19,16 +17,18 @@ flat integer arrays:
   cut queries build, versus Edmonds-Karp's ``O((K+1) * E)``);
 * :mod:`repro.kernel.expand` — :func:`expand_partial_packed` /
   :class:`PackedExpansion` / :class:`PackedCutArena`: the height-query
-  expansion and the node-split cut computation on packed copies;
+  expansion (interior, candidate and leaf tiers) and the node-split cut
+  computation on packed copies;
 * :mod:`repro.kernel.share` — :class:`CsrHandle`: zero-copy publication
   of the compiled arrays to probe worker processes (inline bytes or
   ``multiprocessing.shared_memory``) and packed label vectors.
 
-Production label solving always runs the compiled kernel with the Dinic
-flow.  :class:`repro.core.labels.LabelSolver` (and ``probe_phi`` /
-``search_min_phi``) keep ``kernel="object"`` and ``flow="ek"`` only as
-test oracles; ``tests/kernel`` asserts that every combination produces
-bit-identical labels, cuts, and mappings.
+There is one expansion and one cut implementation.  Production label
+solving runs it with the Dinic flow; :class:`repro.core.labels.LabelSolver`
+(and ``probe_phi`` / ``search_min_phi``) keep ``engine="rounds"`` and
+``flow="ek"`` only as test oracles, and ``tests/kernel`` asserts that
+all four engine/flow combinations produce bit-identical labels, cuts,
+and mappings.
 """
 
 from repro.kernel.csr import (

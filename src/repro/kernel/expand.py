@@ -1,19 +1,30 @@
 """Partial expanded circuits and cut queries on packed copies.
 
-The compiled twin of :func:`repro.core.expanded.expand_partial` +
-:func:`repro.core.kcut.cut_on_expansion`: copies of the expanded
-circuit ``E_v`` are packed integers ``(w << shift) | u``
-(:mod:`repro.kernel.csr`) instead of ``(u, w)`` tuples, heights are
-computed inline from the label list (no per-copy callable dispatch),
-and the node-split flow network is built straight into a flat-array
-max-flow solver.
+TurboMap's efficiency [11] comes from never materializing the expanded
+circuit ``E_v`` (:mod:`repro.core.expanded`) fully.  For a height test
+at threshold ``L``, copies with height ``l(u) - phi*w + 1 > L`` can
+never be LUT inputs, so they are *interior* (collapsed into the sink
+and expanded through).  The paper's partial flow network stops right
+there: the first copies at or below the threshold become the *leaf*
+cut candidates.  This module additionally supports expanding *through*
+gate copies below the threshold down to a configurable floor
+(``extra_depth`` register wraps below it): those copies are
+*candidates* — cuttable, but expanded further — because a candidate
+inside the LUT cluster occasionally exposes a reconvergent deeper copy
+that cuts cheaper.  ``extra_depth=0`` reproduces the paper's
+construction exactly; the ablation benchmark measures what the extra
+generality buys.  Because every circuit cycle carries a register and
+``phi >= 1``, heights strictly drop along weight-accumulating reverse
+paths, so the expansion terminates.
 
-Both constructions traverse the circuit in the identical order and
-apply the identical tier rules, so the compiled engine classifies the
-same copies into the same tiers and — because the source side of the
-residual min-cut is unique for a given network, independent of the
-max-flow engine — returns the same cut sets.  ``tests/kernel``
-asserts this differentially against the object engine.
+Copies are packed integers ``(w << shift) | u`` (:mod:`repro.kernel.csr`)
+instead of ``(u, w)`` tuples, heights are computed inline from the
+label list, and the node-split flow network is built straight into a
+flat-array max-flow solver.  The source side of the residual min-cut is
+unique for a given network, independent of the max-flow engine, so the
+Dinic and Edmonds-Karp arenas return the same cut sets; ``tests/kernel``
+asserts this, and checks the tiers and cuts against an independent
+node-split reference built in the tests.
 """
 
 from __future__ import annotations
@@ -42,10 +53,18 @@ if TYPE_CHECKING:
 class PackedExpansion:
     """The partial expanded circuit of one height query, packed.
 
-    Mirrors :class:`repro.core.expanded.PartialExpansion` with copies as
-    packed ints under the recorded ``shift``; ``edges`` is a flat list
-    of alternating ``child, parent`` packed copies (pairs at even
-    offsets), oriented toward the root like the object edge list.
+    Copies are packed ints under the recorded ``shift``.  ``interior``
+    holds the copies that *must* be inside the LUT cluster (height above
+    the threshold, root included); ``candidates`` the gate copies that
+    may be cut **or** absorbed (height in ``(floor, threshold]``, empty
+    when ``extra_depth=0``); ``leaves`` the copies at or below the floor
+    (and every PI copy at or below the threshold), fed from the flow
+    source and not expanded further.  ``edges`` is a flat list of
+    alternating ``child, parent`` packed copies (pairs at even offsets),
+    oriented toward the root: for circuit edge ``e(x, u)`` and copy
+    ``u^w`` it holds ``x^(w + w(e)), u^w``.  ``blocked`` is set when a
+    PI copy sits above the threshold — no cut at this height exists (a
+    PI cannot be replicated into the cluster).
     """
 
     root: int
@@ -75,11 +94,13 @@ def expand_partial_packed(
 ) -> PackedExpansion:
     """Partial expansion of ``E_v`` on the compiled circuit.
 
-    Copy heights are ``labels[u] - phi*w + 1``; tier rules (interior
-    above ``threshold``, expandable gate candidates down to the
-    ``extra_depth`` floor, leaves below) match
-    :func:`repro.core.expanded.expand_partial` exactly.  ``name_of``
-    resolves the root's display name for the
+    Copy heights are ``labels[u] - phi*w + 1``.  Copies above
+    ``threshold`` are interior; gate copies with height in
+    ``(threshold - extra_depth*phi, threshold]`` are expandable
+    candidates; everything at or below that floor (and every PI copy at
+    or below the threshold) is a leaf.  The CSR pin list is
+    deduplicated, so the edge list never carries duplicate
+    ``(child, parent)`` pairs.  ``name_of`` resolves the root's display name for the
     :class:`~repro.core.expanded.ExpansionOverflow` raised past
     ``max_copies``.
     """
@@ -179,9 +200,9 @@ def cut_on_packed(
 ) -> Optional[List[int]]:
     """Bounded-flow cut query on a packed expansion.
 
-    Returns the packed min-cut copies sorted by ``(u, w)`` — the same
-    order :func:`repro.core.kcut.cut_on_expansion` returns tuple cuts
-    in — or ``None`` when the expansion is blocked or every cut needs
+    Returns the packed min-cut copies sorted by ``(u, w)`` — the order
+    :func:`repro.core.kcut.cut_on_expansion` hands tuple cuts on in —
+    or ``None`` when the expansion is blocked or every cut needs
     more than ``max_cut`` nodes.  ``arena`` recycles a caller-owned
     :class:`PackedCutArena`.
     """
@@ -199,7 +220,7 @@ def cut_on_packed(
     index.clear()
     source = net.add_node()
     sink = net.add_node()
-    # Node-split construction, same shape as SplitNetwork: copy j gets
+    # Node-split construction: copy j gets
     # the consecutive pair (inp, out) = (2 + 2j, 3 + 2j); interior
     # copies get an uncuttable INF split edge and collapse into the
     # sink, leaves hang off the source.

@@ -59,7 +59,19 @@ def read_blif(text: str) -> Tuple[SeqCircuit, BlifInfo]:
     """Parse BLIF text into a retiming graph.
 
     Returns the circuit and a :class:`BlifInfo` with latch initial values.
+    Every malformed input raises :class:`BlifError`, including the
+    structural faults the graph layer detects while the circuit is
+    built (a name declared twice, a bad cover).
     """
+    try:
+        return _read_blif(text)
+    except BlifError:
+        raise
+    except ValueError as exc:
+        raise BlifError(str(exc)) from exc
+
+
+def _read_blif(text: str) -> Tuple[SeqCircuit, BlifInfo]:
     model = "blif"
     inputs: List[str] = []
     outputs: List[str] = []
@@ -111,7 +123,11 @@ def read_blif(text: str) -> Tuple[SeqCircuit, BlifInfo]:
                 if len(tokens) != 1:
                     raise BlifError(f"bad constant line: {' '.join(tokens)}")
                 pattern, out = "", tokens[0]
-            if len(pattern) != len(fanin_names) or out not in "01":
+            if (
+                len(pattern) != len(fanin_names)
+                or out not in ("0", "1")
+                or any(ch not in "01-" for ch in pattern)
+            ):
                 raise BlifError(f"bad cube line: {' '.join(tokens)}")
             cubes.append((pattern, out))
 
@@ -166,10 +182,7 @@ def read_blif(text: str) -> Tuple[SeqCircuit, BlifInfo]:
         if base not in ids:
             raise BlifError(f"undriven latch input {d!r}")
 
-    try:
-        circuit.check()
-    except ValueError as exc:
-        raise BlifError(str(exc)) from exc
+    circuit.check()
     return circuit, info
 
 

@@ -5,15 +5,15 @@ Usage::
     python -m repro.perf.microbench --circuits bbara dk16 \
         --out benchmarks/results
 
-Times the hot kernel stages across the engine matrix using the
-deterministic ``LabelStats`` telemetry the solver already collects:
+Times the hot kernel stages per flow engine using the deterministic
+``LabelStats`` telemetry the solver already collects:
 
 * **flow** — aggregate min-cut solve time (``stats.t_flow``) and query
   count per flow engine (``dinic`` vs ``ek``) on an identical label
   workload, plus the Dinic work counters (``dinic_phases``,
   ``arcs_advanced``);
-* **expansion** — partial-expansion time (``stats.t_expand``) per copy
-  representation (``compiled`` CSR vs ``object`` tuples);
+* **expansion** — partial-expansion time (``stats.t_expand``) on the
+  compiled CSR kernel;
 * **handoff** — startup bytes a parallel phi probe ships per worker:
   the pickled stripped circuit, the raw CSR blob, and the pickled
   :class:`~repro.kernel.share.CsrHandle` for each transport.
@@ -42,28 +42,23 @@ from repro.core.labels import LabelSolver
 from repro.perf.report import SCHEMA_VERSION
 from repro.resilience.atomic import atomic_write_json
 
-#: (flow, kernel) pairs timed by :func:`bench_circuit` — the reference
-#: configuration (the test oracles) first, the production path last.
-MATRIX = (
-    ("ek", "object"),
-    ("ek", "compiled"),
-    ("dinic", "object"),
-    ("dinic", "compiled"),
-)
+#: Flow engines timed by :func:`bench_circuit` on the compiled kernel —
+#: the reference (the test oracle) first, the production path last.
+#: Each cell is reported as ``"<flow>+compiled"``.
+FLOWS = ("ek", "dinic")
 
 
-def _solve(circuit, k: int, phi: int, flow: str, kernel: str):
+def _solve(circuit, k: int, phi: int, flow: str):
     """One label run at fixed phi; returns the outcome (timed stats)."""
-    solver = LabelSolver(circuit, k, phi, flow=flow, kernel=kernel)
-    return solver.run()
+    return LabelSolver(circuit, k, phi, flow=flow).run()
 
 
 def _find_phi(circuit, k: int) -> int:
     """The smallest feasible phi, via a linear scan with the reference
-    engine (the workload every matrix cell then replays)."""
+    flow (the workload every matrix cell then replays)."""
     phi = 1
     while True:
-        if _solve(circuit, k, phi, "ek", "object").feasible:
+        if _solve(circuit, k, phi, "ek").feasible:
             return phi
         phi += 1
 
@@ -93,7 +88,7 @@ def bench_circuit(
     phi: Optional[int] = None,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Benchmark one circuit across the engine matrix.
+    """Benchmark one circuit across the flow-engine matrix.
 
     Returns one row dict per matrix cell (timings are the best of
     ``repeats`` runs — microbenchmarks gate on minima, not means, to
@@ -103,23 +98,22 @@ def bench_circuit(
         phi = _find_phi(circuit, k)
     reference: Optional[List[int]] = None
     cells: Dict[str, Dict[str, Any]] = {}
-    for flow, kernel in MATRIX:
+    for flow in FLOWS:
         best: Optional[Dict[str, Any]] = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            outcome = _solve(circuit, k, phi, flow, kernel)
+            outcome = _solve(circuit, k, phi, flow)
             wall = time.perf_counter() - t0
             if not outcome.feasible:
                 raise RuntimeError(
-                    f"{circuit.name}: phi={phi} infeasible under "
-                    f"flow={flow} kernel={kernel}"
+                    f"{circuit.name}: phi={phi} infeasible under flow={flow}"
                 )
             if reference is None:
                 reference = outcome.labels
             elif outcome.labels != reference:
                 raise RuntimeError(
                     f"{circuit.name}: labels diverged under "
-                    f"flow={flow} kernel={kernel} — timings meaningless"
+                    f"flow={flow} — timings meaningless"
                 )
             stats = outcome.stats
             sample = {
@@ -135,7 +129,7 @@ def bench_circuit(
         assert best is not None
         queries = best["flow_queries"] or 1
         best["us_per_query"] = 1e6 * best["t_flow"] / queries
-        cells[f"{flow}+{kernel}"] = best
+        cells[f"{flow}+compiled"] = best
     return {
         "circuit": circuit.name,
         "k": k,
@@ -191,7 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.microbench",
-        description="time the kernel engine matrix on suite circuits",
+        description="time the kernel flow engines on suite circuits",
     )
     parser.add_argument(
         "--circuits",

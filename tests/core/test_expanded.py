@@ -1,13 +1,12 @@
 """Tests for expanded circuits (paper Figure 2 machinery)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.boolfn.truthtable import TruthTable
-from repro.core.expanded import (
-    ExpansionOverflow,
-    expand_partial,
-    sequential_cone_function,
-)
+from repro.core.expanded import ExpansionOverflow, sequential_cone_function
+from repro.kernel.expand import expand_partial_packed
 from repro.netlist.graph import SeqCircuit
 from tests.helpers import AND2, BUF, XOR2
 
@@ -32,13 +31,30 @@ def self_loop():
     return c, x, g
 
 
+def expand(c, v, phi, labels, threshold, **kwargs):
+    """Packed partial expansion of ``E_v`` under a ``{node: label}``
+    dict, with tiers and edges decoded back to ``(u, w)`` tuples."""
+    label_list = [labels.get(u, 0) for u in range(len(c))]
+    exp = expand_partial_packed(
+        c.compiled(), v, phi, label_list, threshold,
+        name_of=c.name_of, **kwargs,
+    )
+    pairs = exp.unpack_copies(exp.edges)
+    return SimpleNamespace(
+        blocked=exp.blocked,
+        interior=exp.unpack_copies(exp.interior),
+        candidates=exp.unpack_copies(exp.candidates),
+        leaves=exp.unpack_copies(exp.leaves),
+        edges=[(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)],
+    )
+
+
 class TestExpandPartial:
     def test_weights_accumulate(self):
         c, x, g1, g2 = two_stage()
         labels = {x: 0, g1: 1, g2: 1}
-        height = lambda u, w: labels[u] - 1 * w + 1
         # threshold below g1^1's height (1-1+1=1): expand through it.
-        exp = expand_partial(c, g2, 1, height, threshold=0)
+        exp = expand(c, g2, 1, labels, threshold=0)
         copies = set(exp.interior) | set(exp.leaves) | set(exp.candidates)
         assert (g1, 1) in copies
         assert (x, 1) in copies  # x behind g1's register
@@ -48,8 +64,7 @@ class TestExpandPartial:
         # weight decreasing by the original edge weight.
         c, x, g = self_loop()
         labels = {x: 0, g: 1}
-        height = lambda u, w: labels[u] - 1 * w + 1
-        exp = expand_partial(c, g, 1, height, threshold=-3)
+        exp = expand(c, g, 1, labels, threshold=-3)
         for (child, parent) in exp.edges:
             (cu, cw), (pu, pw) = child, parent
             pin = next(p for p in c.fanins(pu) if p.src == cu)
@@ -59,9 +74,8 @@ class TestExpandPartial:
         c, x, g = self_loop()
         labels = {x: 0, g: 5}
         phi = 2
-        height = lambda u, w: labels[u] - phi * w + 1
         # threshold 3: g^0 (h=6) and g^1 (h=4) interior; g^2 (h=2) frontier.
-        exp = expand_partial(c, g, phi, height, threshold=3)
+        exp = expand(c, g, phi, labels, threshold=3)
         assert (g, 1) in exp.interior
         assert (g, 2) in exp.leaves
         assert not exp.blocked
@@ -69,17 +83,17 @@ class TestExpandPartial:
     def test_pi_blocks_when_above_threshold(self):
         c, x, g1, g2 = two_stage()
         labels = {x: 0, g1: 1, g2: 1}
-        height = lambda u, w: labels[u] - 1 * w + 1
         # threshold -5 forces even x^1 (height 0) to be interior: blocked.
-        exp = expand_partial(c, g2, 1, height, threshold=-5)
+        exp = expand(c, g2, 1, labels, threshold=-5)
         assert exp.blocked
+        # the query stops at the PI instead of expanding through it
+        assert all(u != x for u, _w in exp.interior)
 
     def test_candidate_tier(self):
         c, x, g = self_loop()
         labels = {x: 0, g: 5}
         phi = 2
-        height = lambda u, w: labels[u] - phi * w + 1
-        exp = expand_partial(c, g, phi, height, threshold=3, extra_depth=1)
+        exp = expand(c, g, phi, labels, threshold=3, extra_depth=1)
         # g^2 (height 2 > floor 1) is now an expandable candidate.
         assert (g, 2) in exp.candidates
         assert (g, 3) in exp.leaves or (g, 3) in exp.candidates
@@ -87,7 +101,7 @@ class TestExpandPartial:
     def test_root_must_be_gate(self):
         c, x, g1, g2 = two_stage()
         with pytest.raises(ValueError):
-            expand_partial(c, x, 1, lambda u, w: 0, 0)
+            expand(c, x, 1, {}, 0)
 
     def test_duplicate_pins_produce_no_duplicate_edges(self):
         # g reads the same driver twice through identical register counts:
@@ -98,8 +112,7 @@ class TestExpandPartial:
         g = c.add_gate("g", AND2, [(d, 1), (d, 1)])
         c.add_po("o", g)
         labels = {x: 0, d: 1, g: 1}
-        height = lambda u, w: labels[u] - 1 * w + 1
-        exp = expand_partial(c, g, 1, height, threshold=1)
+        exp = expand(c, g, 1, labels, threshold=1)
         assert len(exp.edges) == len(set(exp.edges))
         assert ((d, 1), (g, 0)) in exp.edges
 
@@ -110,8 +123,7 @@ class TestExpandPartial:
         g = c.add_gate("g", XOR2, [(d, 0), (d, 1)])
         c.add_po("o", g)
         labels = {x: 0, d: 1, g: 1}
-        height = lambda u, w: labels[u] - 1 * w + 1
-        exp = expand_partial(c, g, 1, height, threshold=1)
+        exp = expand(c, g, 1, labels, threshold=1)
         assert ((d, 0), (g, 0)) in exp.edges
         assert ((d, 1), (g, 0)) in exp.edges
 
@@ -122,13 +134,12 @@ class TestExpansionOverflow:
         # before the frontier drops below the threshold.
         c, x, g = self_loop()
         labels = {x: 0, g: 50}
-        height = lambda u, w: labels[u] - 1 * w + 1
-        return c, g, height
+        return c, g, labels
 
     def test_overflow_carries_node_name_and_limit(self):
-        c, g, height = self._deep_unroll()
+        c, g, labels = self._deep_unroll()
         with pytest.raises(ExpansionOverflow) as excinfo:
-            expand_partial(c, g, 1, height, threshold=10, max_copies=5)
+            expand(c, g, 1, labels, threshold=10, max_copies=5)
         assert excinfo.value.node_name == c.name_of(g)
         assert excinfo.value.max_copies == 5
         assert "5 copies" in str(excinfo.value)
@@ -139,8 +150,8 @@ class TestExpansionOverflow:
         assert issubclass(ExpansionOverflow, RuntimeError)
 
     def test_limit_is_configurable(self):
-        c, g, height = self._deep_unroll()
-        exp = expand_partial(c, g, 1, height, threshold=10, max_copies=500)
+        c, g, labels = self._deep_unroll()
+        exp = expand(c, g, 1, labels, threshold=10, max_copies=500)
         assert not exp.blocked
         assert len(exp.interior) > 5
 

@@ -1,10 +1,7 @@
 """Tests for flow-based height-constrained K-cuts on expanded circuits."""
 
-import pytest
-
-from repro.comb.maxflow import SplitNetwork
 from repro.core.kcut import cut_on_expansion, find_height_cut
-from repro.core.expanded import expand_partial
+from repro.kernel.expand import PackedCutArena, expand_partial_packed
 from repro.netlist.graph import SeqCircuit
 from tests.helpers import AND2, BUF
 
@@ -21,15 +18,20 @@ def and_ring(num_gates, num_ffs=1):
     return c, xs, g
 
 
-def make_height(labels, phi):
-    return lambda u, w: labels.get(u, 0) - phi * w + 1
+def label_list(c, labels):
+    """Per-node label list from a sparse ``{node: label}`` dict (PIs 0)."""
+    return [labels.get(u, 0) for u in range(len(c))]
+
+
+def height(labels, phi, u, w):
+    return labels[u] - phi * w + 1
 
 
 class TestFindHeightCut:
     def test_trivial_fanin_cut(self):
         c, xs, g = and_ring(4)
         labels = {v: 1 for v in g}
-        cut = find_height_cut(c, g[1], 1, make_height(labels, 1), threshold=2, max_cut=5)
+        cut = find_height_cut(c, g[1], 1, label_list(c, labels), threshold=2, max_cut=5)
         assert cut is not None
         assert set(cut) == {(g[0], 0), (xs[1], 0)}
 
@@ -38,7 +40,7 @@ class TestFindHeightCut:
         labels = {v: 1 for v in g}
         # threshold 1 forces g0^0 (height 2) interior for root g1; the cut
         # must include the register crossing g3^1 and the PIs.
-        cut = find_height_cut(c, g[1], 1, make_height(labels, 1), threshold=1, max_cut=5)
+        cut = find_height_cut(c, g[1], 1, label_list(c, labels), threshold=1, max_cut=5)
         assert cut is not None
         assert (g[3], 1) in cut
         assert (xs[0], 0) in cut and (xs[1], 0) in cut
@@ -47,7 +49,7 @@ class TestFindHeightCut:
         c, xs, g = and_ring(8)
         labels = {v: 1 for v in g}
         # covering 3 ring gates needs 4+ inputs
-        cut = find_height_cut(c, g[2], 1, make_height(labels, 1), threshold=0, max_cut=3)
+        cut = find_height_cut(c, g[2], 1, label_list(c, labels), threshold=0, max_cut=3)
         assert cut is None
 
     def test_blocked_by_pi(self):
@@ -55,19 +57,18 @@ class TestFindHeightCut:
         labels = {v: 1 for v in g}
         # threshold far below any PI copy height: expansion blocked.
         cut = find_height_cut(
-            c, g[0], 1, make_height(labels, 1), threshold=-20, max_cut=10
+            c, g[0], 1, label_list(c, labels), threshold=-20, max_cut=10
         )
         assert cut is None
 
     def test_cut_heights_respect_threshold(self):
         c, xs, g = and_ring(6)
-        labels = {g[i]: 1 + (i % 3) for i in range(6)}
-        height = make_height(labels, 2)
+        labels = label_list(c, {g[i]: 1 + (i % 3) for i in range(6)})
         threshold = 2
-        cut = find_height_cut(c, g[4], 2, height, threshold, max_cut=15)
+        cut = find_height_cut(c, g[4], 2, labels, threshold, max_cut=15)
         assert cut is not None
         for (u, w) in cut:
-            assert height(u, w) <= threshold
+            assert height(labels, 2, u, w) <= threshold
 
     def test_extra_depth_finds_shared_deep_cut(self):
         """The reconvergence case the first-crossing network misses.
@@ -85,11 +86,10 @@ class TestFindHeightCut:
         q = c.add_gate("q", BUF, [(x, 0)])
         v = c.add_gate("v", AND2, [(p, 0), (q, 1)])
         c.add_po("o", v)
-        labels = {pi: 0, x: 1, p: 2, q: 2, v: 2}
-        height = make_height(labels, 1)
-        shallow = find_height_cut(c, v, 1, height, threshold=2, max_cut=1)
+        labels = label_list(c, {pi: 0, x: 1, p: 2, q: 2, v: 2})
+        shallow = find_height_cut(c, v, 1, labels, threshold=2, max_cut=1)
         deep = find_height_cut(
-            c, v, 1, height, threshold=2, max_cut=1, extra_depth=2
+            c, v, 1, labels, threshold=2, max_cut=1, extra_depth=2
         )
         assert shallow is None  # first-crossing network needs 2 nodes
         assert deep is not None and len(deep) == 1
@@ -100,7 +100,9 @@ class TestCutOnExpansion:
     def test_blocked_expansion(self):
         c, xs, g = and_ring(3)
         labels = {v: 1 for v in g}
-        exp = expand_partial(c, g[0], 1, make_height(labels, 1), threshold=-20)
+        exp = expand_partial_packed(
+            c.compiled(), g[0], 1, label_list(c, labels), threshold=-20
+        )
         assert exp.blocked
         assert cut_on_expansion(exp, 10) is None
 
@@ -112,26 +114,21 @@ class TestCutOnExpansion:
         g = c.add_gate("g", BUF, [(one, 0)])
         c.add_po("o", g)
         labels = {one: 1, g: 1}
-        exp = expand_partial(c, g, 1, make_height(labels, 1), threshold=0)
+        exp = expand_partial_packed(
+            c.compiled(), g, 1, label_list(c, labels), threshold=0
+        )
         cut = cut_on_expansion(exp, 5)
         assert cut == []
 
-    def test_duplicate_edges_rejected(self):
-        c, xs, g = and_ring(3)
-        labels = {v: 1 for v in g}
-        exp = expand_partial(c, g[1], 1, make_height(labels, 1), threshold=2)
-        exp.edges.append(exp.edges[0])
-        with pytest.raises(AssertionError, match="duplicate"):
-            cut_on_expansion(exp, 10)
-
     def test_arena_reuse_matches_fresh_network(self):
         c, xs, g = and_ring(6)
-        labels = {g[i]: 1 + (i % 3) for i in range(6)}
-        height = make_height(labels, 2)
-        arena = SplitNetwork()
+        labels = label_list(c, {g[i]: 1 + (i % 3) for i in range(6)})
+        arena = PackedCutArena()
         for root in g:
             for threshold in (1, 2, 3):
-                exp = expand_partial(c, root, 2, height, threshold)
+                exp = expand_partial_packed(
+                    c.compiled(), root, 2, labels, threshold
+                )
                 fresh = cut_on_expansion(exp, 15)
                 pooled = cut_on_expansion(exp, 15, arena=arena)
                 assert fresh == pooled, (c.name_of(root), threshold)

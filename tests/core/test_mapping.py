@@ -112,3 +112,53 @@ class TestGenerateMapping:
         mapped = generate_mapping(c, phi, labels, 2)
         assert mapped.n_gates == 0
         assert mapped.fanins(mapped.pos[0])[0].weight == 3
+
+
+class TestMaxCopiesReachesMapping:
+    """The run's ``max_copies`` bounds mapping generation and its
+    verification, not only the label search: a raised bound must not
+    turn into an ``ExpansionOverflow`` after a successful search."""
+
+    @pytest.mark.parametrize("algorithm", ["turbomap", "turbosyn"])
+    def test_every_expansion_and_cone_uses_the_run_bound(
+        self, monkeypatch, algorithm
+    ):
+        import inspect
+
+        from repro.analysis import invariants
+        from repro.bench import suite as bench_suite
+        from repro.core import kcut, labels, mapping, seqdecomp
+        from repro.core.turbomap import turbomap
+        from repro.core.turbosyn import turbosyn
+
+        bound = 123_457
+        seen = []
+
+        def record(module, name):
+            original = getattr(module, name)
+            signature = inspect.signature(original)
+
+            def recording(*args, **kwargs):
+                call = signature.bind(*args, **kwargs)
+                call.apply_defaults()
+                seen.append((module.__name__, call.arguments["max_copies"]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        record(mapping, "sequential_cone_function")
+        record(seqdecomp, "sequential_cone_function")
+        record(invariants, "sequential_cone_function")
+        for module in (kcut, labels):
+            if hasattr(module, "expand_partial_packed"):
+                record(module, "expand_partial_packed")
+        mapper = turbomap if algorithm == "turbomap" else turbosyn
+        result = mapper(bench_suite.build("dk16"), 5, max_copies=bound)
+        assert result.certificate["verified"]
+        modules = {name for name, _ in seen}
+        assert "repro.core.mapping" in modules
+        assert "repro.analysis.invariants" in modules
+        if algorithm == "turbosyn":
+            assert "repro.core.seqdecomp" in modules
+        wrong = [(name, m) for name, m in seen if m != bound]
+        assert not wrong, wrong[:5]

@@ -1,10 +1,10 @@
-"""End-to-end bit-identity across the engine matrix.
+"""End-to-end bit-identity across the label-path oracles.
 
-The acceptance bar of the kernel layer: ``dinic+compiled`` (the
-production path) must produce byte-for-byte the same labels, phi, and
-mappings as ``ek+object`` (the original engine, kept as a test oracle),
-with identical deterministic work counters where the engines share
-them.
+The acceptance bar of the kernel layer: the production path (worklist
+engine, Dinic flow) must produce byte-for-byte the same labels, phi,
+and mappings as the paper's path (round-robin engine, Edmonds-Karp
+flow, kept as test oracles), with identical deterministic work counters
+where the engines share them.
 """
 
 import pytest
@@ -20,17 +20,13 @@ from repro.core.seqdecomp import DEFAULT_CMAX
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
 
-MATRIX = [
-    ("ek", "object"),
-    ("ek", "compiled"),
-    ("dinic", "object"),
-    ("dinic", "compiled"),
-]
+FLOWS = ["ek", "dinic"]
+
 
 def _min_phi(circuit, k=5):
     phi = 1
     while True:
-        if LabelSolver(circuit, k, phi, flow="ek", kernel="object").run().feasible:
+        if LabelSolver(circuit, k, phi, flow="ek").run().feasible:
             return phi
         phi += 1
 
@@ -42,17 +38,15 @@ class TestLabelIdentity:
         k = 5
         phi = _min_phi(circuit, k)
         reference = None
-        for flow, kernel in MATRIX:
-            outcome = LabelSolver(
-                circuit, k, phi, flow=flow, kernel=kernel
-            ).run()
+        for flow in FLOWS:
+            outcome = LabelSolver(circuit, k, phi, flow=flow).run()
             assert outcome.feasible
             if reference is None:
                 reference = outcome
                 continue
-            tag = f"{flow}+{kernel}"
+            tag = flow
             assert outcome.labels == reference.labels, tag
-            # The memo/guard logic is shared across kernels, so the
+            # The memo/guard logic is shared across flows, so the
             # engine-independent work counters must match exactly.
             assert outcome.stats.flow_queries == reference.stats.flow_queries, tag
             assert outcome.stats.cache_hits == reference.stats.cache_hits, tag
@@ -64,11 +58,9 @@ class TestLabelIdentity:
         phi = _min_phi(circuit, k)
         if phi == 1:
             pytest.skip("already feasible at phi=1")
-        for flow, kernel in MATRIX:
-            outcome = LabelSolver(
-                circuit, k, phi - 1, flow=flow, kernel=kernel
-            ).run()
-            assert not outcome.feasible, f"{flow}+{kernel}"
+        for flow in FLOWS:
+            outcome = LabelSolver(circuit, k, phi - 1, flow=flow).run()
+            assert not outcome.feasible, flow
 
     def test_dinic_counters_populate_only_under_dinic(self):
         circuit = bench_suite.build("bbara")
@@ -84,22 +76,21 @@ class TestLabelIdentity:
         circuit = bench_suite.build("bbara")
         with pytest.raises(ValueError, match="flow"):
             LabelSolver(circuit, 5, 3, flow="bogus")
-        with pytest.raises(ValueError, match="kernel"):
-            LabelSolver(circuit, 5, 3, kernel="bogus")
-        # Only the compiled production kernel and the object oracle.
-        for retired in ("vector", "auto"):
-            with pytest.raises(ValueError, match="kernel"):
-                LabelSolver(circuit, 5, 3, kernel=retired)
+        with pytest.raises(ValueError, match="engine"):
+            LabelSolver(circuit, 5, 3, engine="bogus")
+        # One expansion implementation: no kernel selector at all.
+        with pytest.raises(TypeError, match="kernel"):
+            LabelSolver(circuit, 5, 3, kernel="compiled")
 
 
 class TestFullMatrixIdentity:
-    """2 engines x 2 flows x 2 kernels: every combination bit-identical.
+    """2 engines x 2 flows: every combination bit-identical.
 
     Labels (and phi feasibility) are identical across the *whole*
     matrix; the deterministic work counters are identical within each
     label engine (worklist and rounds schedule different update
     sequences, so their counters differ from each other by design —
-    but not across flows or kernels).
+    but not across flows).
     """
 
     @pytest.mark.parametrize("name", ["bbara", "dk16"])
@@ -111,34 +102,30 @@ class TestFullMatrixIdentity:
         for engine in ("worklist", "rounds"):
             engine_ref = None
             for flow in ("dinic", "ek"):
-                for kernel in ("compiled", "object"):
-                    tag = f"{engine}/{flow}+{kernel}"
-                    outcome = LabelSolver(
-                        circuit, k, phi,
-                        engine=engine, flow=flow, kernel=kernel,
-                    ).run()
-                    assert outcome.feasible, tag
-                    if reference is None:
-                        reference = outcome
-                    assert outcome.labels == reference.labels, tag
-                    if engine_ref is None:
-                        engine_ref = outcome
-                        continue
-                    ref = engine_ref.stats
-                    stats = outcome.stats
-                    assert stats.rounds == ref.rounds, tag
-                    assert stats.updates == ref.updates, tag
-                    assert stats.flow_queries == ref.flow_queries, tag
-                    assert stats.cache_hits == ref.cache_hits, tag
-                    assert stats.pld_checks == ref.pld_checks, tag
+                tag = f"{engine}/{flow}"
+                outcome = LabelSolver(
+                    circuit, k, phi, engine=engine, flow=flow
+                ).run()
+                assert outcome.feasible, tag
+                if reference is None:
+                    reference = outcome
+                assert outcome.labels == reference.labels, tag
+                if engine_ref is None:
+                    engine_ref = outcome
+                    continue
+                ref = engine_ref.stats
+                stats = outcome.stats
+                assert stats.rounds == ref.rounds, tag
+                assert stats.updates == ref.updates, tag
+                assert stats.flow_queries == ref.flow_queries, tag
+                assert stats.cache_hits == ref.cache_hits, tag
+                assert stats.pld_checks == ref.pld_checks, tag
 
 
-def _oracle_search(circuit, upper_bound, resynthesize, **label_path):
-    """The phi search on the paper's path: rounds engine, EK, objects."""
-    options = {"engine": "rounds", "flow": "ek", "kernel": "object"}
-    options.update(label_path)
+def _oracle_search(circuit, upper_bound, resynthesize):
+    """The phi search on the paper's path: rounds engine, EK."""
     phi, outcomes = search_min_phi(
-        circuit, 5, upper_bound, resynthesize, **options
+        circuit, 5, upper_bound, resynthesize, engine="rounds", flow="ek"
     )
     return phi, outcomes[phi].labels
 
@@ -167,21 +154,13 @@ class TestMapperIdentity:
         hook = make_resyn_hook(DEFAULT_CMAX)
         at = LabelSolver(
             circuit, 5, phi, resyn_hook=hook,
-            engine="rounds", flow="ek", kernel="object",
+            engine="rounds", flow="ek",
         ).run()
         assert at.feasible
         assert at.labels == list(labels)
         if phi > 1:
             below = LabelSolver(
                 circuit, 5, phi - 1, resyn_hook=hook,
-                engine="rounds", flow="ek", kernel="object",
+                engine="rounds", flow="ek",
             ).run()
             assert not below.feasible
-
-    def test_rounds_engine_accepts_kernel(self):
-        circuit = bench_suite.build("bbara")
-        bound = default_upper_bound(circuit)
-        compiled = _oracle_search(
-            circuit, bound, False, flow="dinic", kernel="compiled"
-        )
-        assert compiled == _oracle_search(circuit, bound, False)

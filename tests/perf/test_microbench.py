@@ -6,7 +6,7 @@ from repro.bench import suite as bench_suite
 from repro.perf import microbench
 from repro.perf.report import SCHEMA_VERSION
 
-CELLS = {"ek+object", "ek+compiled", "dinic+object", "dinic+compiled"}
+CELLS = {"ek+compiled", "dinic+compiled"}
 
 
 class TestBenchCircuit:
@@ -19,7 +19,7 @@ class TestBenchCircuit:
             assert sample["t_flow"] >= 0.0
             assert sample["us_per_query"] >= 0.0
         assert res["cells"]["dinic+compiled"]["dinic_phases"] > 0
-        assert res["cells"]["ek+object"]["dinic_phases"] == 0
+        assert res["cells"]["ek+compiled"]["dinic_phases"] == 0
         assert res["phi"] >= 1
 
     def test_handoff_bytes(self):

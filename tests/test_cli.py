@@ -68,6 +68,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "phi=" in out
 
+    @pytest.mark.parametrize("command", ["map", "remap"])
+    def test_malformed_cube_exits_two(self, small_blif, tmp_path, capsys, command):
+        bad = tmp_path / "bad.blif"
+        bad.write_text(".model m\n.inputs a b\n.outputs y\n.names a b y\n1r 1\n.end\n")
+        argv = [command, str(bad)] if command == "map" else [command, small_blif, str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bad cube line: 1r 1" in err
+
     def test_map_with_output_and_retime(self, small_blif, tmp_path, capsys):
         out_path = str(tmp_path / "mapped.blif")
         code = main(
