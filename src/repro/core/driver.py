@@ -572,10 +572,8 @@ def run_mapper(
     ``check=True`` (and never for incremental repairs); plain probe
     adoption works everywhere.
     """
-    ub = upper_bound if upper_bound is not None else default_upper_bound(circuit)
     if budget is None:
         budget = Budget()
-    budget.start()
     ckey: Optional["CacheKey"] = None
     if cache is not None:
         from repro.cache.store import cache_key as build_cache_key
@@ -590,7 +588,6 @@ def run_mapper(
             io_constrained=io_constrained,
             max_copies=max_copies,
         )
-    t0 = time.perf_counter()
     if prev_result is not None:
         workers = 1
     replay_final: Optional[dict] = None
@@ -620,6 +617,11 @@ def run_mapper(
                 below.stats.outcome_cache_hits = 1
                 below.stats.cache_probes_skipped = 1
                 outcomes[phi - 1] = below
+    if replay_final is None:
+        # The bound seeds the search only: an exact hit never computes it.
+        ub = upper_bound if upper_bound is not None else default_upper_bound(circuit)
+    budget.start()
+    t0 = time.perf_counter()
     if replay_final is not None:
         pass  # search skipped entirely
     elif workers > 1:

@@ -12,9 +12,13 @@ min-cuts that TurboSYN's sequential functional decomposition resynthesizes
 (:mod:`repro.core.seqdecomp`).
 
 Every query runs on the compiled kernel (:mod:`repro.kernel.expand`):
-the expansion and the flow network are built on the circuit's CSR
-arrays with packed copies, and the cut is decoded back to ``(u, w)``
-tuples here, so callers see one cut type.
+the expansion is built on the circuit's CSR arrays with packed copies,
+and the cut is decoded back to ``(u, w)`` tuples here, so callers see
+one cut type.  At the paper's ``extra_depth=0`` the expansion has no
+candidate copies, so every leaf is a disjoint unit path to the sink:
+the max flow is the leaf count and the query is answered by counting.
+Only ``extra_depth >= 1`` expansions with candidates build a flow
+network.
 
 The returned min-cut is the max-volume one (closest to the source), which
 makes each LUT swallow as much logic as possible — the low-cost choice
@@ -53,8 +57,8 @@ def find_height_cut(
     feasibility (every candidate or leaf copy is at or below the
     threshold); the flow bounds the cut size.  ``extra_depth`` expands
     through candidate copies below the threshold (see
-    :mod:`repro.kernel.expand`).  Each call allocates its own flow
-    arena, so concurrent queries never share scratch state.
+    :mod:`repro.kernel.expand`).  A query that runs a flow allocates
+    its own arena, so concurrent queries never share scratch state.
     """
     expansion = expand_partial_packed(
         circuit.compiled(),
@@ -74,12 +78,13 @@ def cut_on_expansion(
     max_cut: int,
     arena: Optional[PackedCutArena] = None,
 ) -> Optional[List[Copy]]:
-    """Run the bounded flow on a prepared partial expansion.
+    """Answer the cut query on a prepared partial expansion.
 
     Returns the cut as ``(u, w)`` tuples sorted by ``(u, w)``, or
     ``None`` when the expansion is blocked or every cut needs more than
     ``max_cut`` nodes.  ``arena`` recycles a caller-owned
-    :class:`~repro.kernel.expand.PackedCutArena`.
+    :class:`~repro.kernel.expand.PackedCutArena` for the queries that
+    run a flow (expansions with candidate copies).
     """
     packed = cut_on_packed(expansion, max_cut, arena)
     if packed is None:

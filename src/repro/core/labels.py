@@ -50,7 +50,8 @@ skips unchanged re-checks; the solver additionally retains the partial
 expansion behind each memo entry (so the resynthesis hook can reuse it
 at the same threshold, see :meth:`LabelSolver.expansion_for`) and
 recycles a single :class:`~repro.kernel.expand.PackedCutArena` across
-all of its flow queries.
+all of its cut queries that run a flow (those whose expansion has
+candidate copies; the rest are leaf counts).
 
 Cross-probe warm starts: labels are *antitone in phi* — a converged
 label set at ``phi2`` is a valid lower bound at any ``phi1 < phi2`` — so
@@ -107,16 +108,18 @@ class LabelStats:
     The ``t_*`` fields are wall-clock seconds spent in each stage of the
     label computation (the run telemetry serialized by
     :mod:`repro.perf.report`): total run time, expanded-circuit
-    construction, max-flow cut queries, and positive-loop-detection
-    checks.  ``warm_seeded`` counts runs seeded from a converged
+    construction, cut queries (``t_flow``: the leaf count or the
+    max-flow solve), and positive-loop-detection checks.  ``warm_seeded`` counts runs seeded from a converged
     larger-phi label set, ``warm_savings`` the total label raises such
     seeds skipped, and ``expansions_reused`` the partial expansions the
     resynthesis hook reused instead of rebuilding.
 
+    ``flow_queries`` counts cut queries, whether or not they ran a flow.
     ``dinic_phases`` / ``arcs_advanced`` are the Dinic flow engine's
     deterministic work counters (level-graph BFS phases run and arcs
-    examined by the blocking-flow search, summed over all cut queries);
-    both stay 0 under the Edmonds-Karp engine.
+    examined by the blocking-flow search, summed over all cut queries).
+    Only expansions with candidate copies run a flow, so both stay 0
+    at ``extra_depth=0`` and under the Edmonds-Karp engine.
 
     The incremental-repair counters (all 0 on cold runs): ``dirty_nodes``
     is the dirty-region size of the edit being repaired (fixed per
@@ -368,8 +371,8 @@ class LabelSolver:
         # worklist conservatively re-enqueues every such gate after any
         # in-SCC label rise (upstream SCCs are already frozen).
         self._resyn_dep: Set[int] = set()
-        # One scratch arena recycled across every cut query, backed by
-        # the selected flow engine.
+        # One scratch arena recycled across every cut query that runs a
+        # flow, backed by the selected flow engine.
         self._cc = circuit.compiled()
         self._packed_arena = PackedCutArena(flow=flow)
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):

@@ -26,6 +26,11 @@ All state lives in flat parallel lists, recycled across queries via
 per-query counters ``phases`` / ``arcs_advanced`` feed the
 deterministic work telemetry in
 :class:`repro.core.labels.LabelStats`.
+
+Only cut queries whose expansion has candidate copies reach a flow
+engine, i.e. ``extra_depth >= 1`` (the depth ablation and mapping's
+deep retry).  The paper's ``extra_depth=0`` queries are leaf counts
+(:mod:`repro.kernel.expand`), so production runs report zero counters.
 """
 
 from __future__ import annotations

@@ -18,13 +18,23 @@ generality buys.  Because every circuit cycle carries a register and
 paths, so the expansion terminates.
 
 Copies are packed integers ``(w << shift) | u`` (:mod:`repro.kernel.csr`)
-instead of ``(u, w)`` tuples, heights are computed inline from the
-label list, and the node-split flow network is built straight into a
-flat-array max-flow solver.  The source side of the residual min-cut is
-unique for a given network, independent of the max-flow engine, so the
-Dinic and Edmonds-Karp arenas return the same cut sets; ``tests/kernel``
-asserts this, and checks the tiers and cuts against an independent
-node-split reference built in the tests.
+instead of ``(u, w)`` tuples, and heights are computed inline from the
+label list.
+
+An expansion without candidate copies — every ``extra_depth=0`` query,
+and any deeper one that finds none — needs no flow at all.  A leaf
+feeds only expanded copies, which are then all interior and collapsed
+into the sink, so each leaf is its own unit path from source to sink:
+the max flow is the leaf count and the minimal min cut is the whole
+leaf set.  :func:`cut_on_packed` answers such a query by counting.
+
+Only expansions with candidates build the node-split flow network,
+straight into a flat-array max-flow solver.  The source side of the
+residual min-cut is unique for a given network, independent of the
+max-flow engine, so the Dinic and Edmonds-Karp arenas return the same
+cut sets; ``tests/kernel`` asserts this, and checks the tiers and cuts
+(leaf counts included) against an independent node-split reference
+built in the tests.
 """
 
 from __future__ import annotations
@@ -164,6 +174,7 @@ def expand_partial_packed(
 class PackedCutArena:
     """Scratch arena for packed cut queries: one flow network, reused.
 
+    Only queries whose expansion has candidate copies touch it.
     ``flow`` selects the max-flow engine: ``"dinic"`` (the flat-array
     level-graph solver, the default) or ``"ek"`` (the Edmonds-Karp
     engine of :class:`repro.comb.maxflow.FlowNetwork`, retained for
@@ -203,15 +214,24 @@ def cut_on_packed(
     Returns the packed min-cut copies sorted by ``(u, w)`` — the order
     :func:`repro.core.kcut.cut_on_expansion` hands tuple cuts on in —
     or ``None`` when the expansion is blocked or every cut needs
-    more than ``max_cut`` nodes.  ``arena`` recycles a caller-owned
-    :class:`PackedCutArena`.
+    more than ``max_cut`` nodes.  Without candidate copies the answer
+    is the leaf set itself (see the module docstring) and no network is
+    built.  Otherwise the flow runs on ``arena``, a caller-owned
+    :class:`PackedCutArena`, or on a fresh one when it is ``None``.
     """
     if expansion.blocked:
         return None
     candidates = expansion.candidates
     leaves = expansion.leaves
-    if not leaves and not candidates:
-        return []  # the cone closes on constant generators: zero inputs
+    shift = expansion.shift
+    mask = (1 << shift) - 1
+    if not candidates:
+        # Leaf-only expansion: every leaf feeds interior copies only, so
+        # each is its own unit path to the sink.  The max flow is the
+        # leaf count and the minimal min cut is the whole leaf set.
+        if len(leaves) > max_cut:
+            return None
+        return sorted(leaves, key=lambda p: (p & mask, p >> shift))
     if arena is None:
         arena = PackedCutArena()
     net = arena.net
@@ -248,8 +268,6 @@ def cut_on_packed(
     if net.max_flow(source, sink, max_cut) > max_cut:
         return None
     reach = net.residual_reachable(source)
-    mask = (1 << expansion.shift) - 1
-    shift = expansion.shift
     cut = [
         p
         for p in candidates

@@ -6,7 +6,10 @@ Usage::
         --out benchmarks/results
 
 Times the hot kernel stages per flow engine using the deterministic
-``LabelStats`` telemetry the solver already collects:
+``LabelStats`` telemetry the solver already collects.  The label runs
+use ``extra_depth=1`` (:data:`EXTRA_DEPTH`): at the production setting
+``extra_depth=0`` every cut query is a leaf count and no flow engine
+runs, so only the deeper expansions still exercise the engines:
 
 * **flow** — aggregate min-cut solve time (``stats.t_flow``) and query
   count per flow engine (``dinic`` vs ``ek``) on an identical label
@@ -47,10 +50,16 @@ from repro.resilience.atomic import atomic_write_json
 #: Each cell is reported as ``"<flow>+compiled"``.
 FLOWS = ("ek", "dinic")
 
+#: Expansion depth of every label run: the shallowest setting whose
+#: expansions have candidate copies, i.e. whose cut queries run a flow.
+EXTRA_DEPTH = 1
+
 
 def _solve(circuit, k: int, phi: int, flow: str):
     """One label run at fixed phi; returns the outcome (timed stats)."""
-    return LabelSolver(circuit, k, phi, flow=flow).run()
+    return LabelSolver(
+        circuit, k, phi, extra_depth=EXTRA_DEPTH, flow=flow
+    ).run()
 
 
 def _find_phi(circuit, k: int) -> int:
@@ -134,6 +143,7 @@ def bench_circuit(
         "circuit": circuit.name,
         "k": k,
         "phi": phi,
+        "extra_depth": EXTRA_DEPTH,
         "cells": cells,
         "handoff": handoff_bytes(circuit),
     }
@@ -146,6 +156,7 @@ def as_table(results: List[Dict[str, Any]]) -> dict:
         for cell, sample in res["cells"].items():
             row = dict(sample)
             row["phi"] = res["phi"]
+            row["extra_depth"] = res["extra_depth"]
             rows[f"{res['circuit']}/{cell}"] = row
         for strategy, size in res["handoff"].items():
             rows.setdefault(f"{res['circuit']}/handoff", {})[strategy] = size

@@ -42,6 +42,35 @@ def test_turbomap_warm_rerun_is_bit_identical(tmp_path, name):
     assert warm_stats.cache_probes_skipped > 0
 
 
+def test_turbomap_exact_hit_skips_the_upper_bound(tmp_path, monkeypatch):
+    """The bound only seeds the search: a cold run computes it once, an
+    exact-hit replay never does and still reproduces the signature."""
+    from repro.core import driver
+
+    circuit = build("bbara")
+    cache = OutcomeCache(tmp_path)
+    real_bound = driver.default_upper_bound
+    calls = []
+
+    def counted(c):
+        calls.append(c.name)
+        return real_bound(c)
+
+    monkeypatch.setattr(driver, "default_upper_bound", counted)
+    cold = turbomap(circuit.copy(), 4, cache=cache)
+    assert calls == [circuit.name]
+
+    def refuse(c):
+        raise AssertionError("an exact cache hit computed the upper bound")
+
+    monkeypatch.setattr(driver, "default_upper_bound", refuse)
+    # A replay whose signature mismatched would fall back to a cold
+    # search, which computes the bound and so raises here.
+    warm = turbomap(circuit.copy(), 4, cache=cache)
+    assert fingerprint(warm) == fingerprint(cold)
+    assert warm.total_stats.outcome_cache_hits > 0
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_parallel_search_shares_the_same_cache(tmp_path, workers):
     circuit = build("dk16")

@@ -23,10 +23,13 @@ from repro.core.turbosyn import turbosyn
 FLOWS = ["ek", "dinic"]
 
 
-def _min_phi(circuit, k=5):
+def _min_phi(circuit, k=5, extra_depth=0):
     phi = 1
     while True:
-        if LabelSolver(circuit, k, phi, flow="ek").run().feasible:
+        outcome = LabelSolver(
+            circuit, k, phi, extra_depth=extra_depth, flow="ek"
+        ).run()
+        if outcome.feasible:
             return phi
         phi += 1
 
@@ -63,14 +66,37 @@ class TestLabelIdentity:
             assert not outcome.feasible, flow
 
     def test_dinic_counters_populate_only_under_dinic(self):
+        # Only expansions with candidate copies run a flow, and only
+        # extra_depth >= 1 produces candidates.
         circuit = bench_suite.build("bbara")
-        phi = _min_phi(circuit)
-        dinic = LabelSolver(circuit, 5, phi, flow="dinic").run()
-        ek = LabelSolver(circuit, 5, phi, flow="ek").run()
+        phi = _min_phi(circuit, extra_depth=1)
+        dinic = LabelSolver(
+            circuit, 5, phi, extra_depth=1, flow="dinic"
+        ).run()
+        ek = LabelSolver(circuit, 5, phi, extra_depth=1, flow="ek").run()
         assert dinic.stats.dinic_phases > 0
         assert dinic.stats.arcs_advanced > 0
         assert ek.stats.dinic_phases == 0
         assert ek.stats.arcs_advanced == 0
+
+    def test_frontier_queries_run_no_flow(self):
+        """At the default extra_depth=0 every cut query is a leaf count:
+        neither flow engine runs, and the shared counters agree."""
+        circuit = bench_suite.build("bbara")
+        phi = _min_phi(circuit)
+        dinic = LabelSolver(circuit, 5, phi, flow="dinic").run()
+        ek = LabelSolver(circuit, 5, phi, flow="ek").run()
+        for outcome in (dinic, ek):
+            assert outcome.stats.flow_queries > 0
+            assert outcome.stats.dinic_phases == 0
+            assert outcome.stats.arcs_advanced == 0
+        assert dinic.stats.flow_queries == ek.stats.flow_queries
+        assert dinic.stats.updates == ek.stats.updates
+        assert dinic.stats.cache_hits == ek.stats.cache_hits
+        stats = turbosyn(bench_suite.build("bbara"), 5, check=False).total_stats
+        assert stats.flow_queries > 0
+        assert stats.dinic_phases == 0
+        assert stats.arcs_advanced == 0
 
     def test_engines_validate_arguments(self):
         circuit = bench_suite.build("bbara")

@@ -6,11 +6,15 @@ tuple-copy expansion that walks ``SeqCircuit.fanins`` (not the CSR
 arrays) with the paper's tier rules, and a tuple-keyed node-split
 :class:`~repro.comb.maxflow.SplitNetwork` built from the unpacked tiers
 — a separate flow-network construction from ``cut_on_packed``'s
-flat-array one.  The EK and Dinic arenas are also checked against each
-other on every bbara gate.
+flat-array one.  The reference runs the flow on every query, so it also
+checks ``cut_on_packed``'s leaf-count answer for expansions without
+candidate copies.  The EK and Dinic arenas are also checked against
+each other on every bbara gate.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bench import suite as bench_suite
 from repro.comb.maxflow import SplitNetwork
@@ -23,17 +27,25 @@ from repro.kernel.expand import (
     expand_partial_packed,
 )
 from repro.netlist.graph import NodeKind
+from tests.helpers import random_seq_circuit
+
+
+def _min_phi_labels(circuit, k=5, extra_depth=0):
+    """The smallest feasible phi of ``circuit`` and its labels."""
+    phi = 1
+    while True:
+        outcome = LabelSolver(
+            circuit, k, phi, extra_depth=extra_depth, flow="ek"
+        ).run()
+        if outcome.feasible:
+            return phi, outcome.labels
+        phi += 1
 
 
 def _solved(name, k=5):
     """A suite circuit with its labels at the smallest feasible phi."""
     circuit = bench_suite.build(name)
-    phi = 1
-    while True:
-        outcome = LabelSolver(circuit, k, phi, flow="ek").run()
-        if outcome.feasible:
-            return circuit, phi, outcome.labels
-        phi += 1
+    return (circuit, *_min_phi_labels(circuit, k))
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +250,89 @@ class TestCutDifferential:
         cc = circuit.compiled()
         gates = {u for u in range(cc.n) if cc.kinds[u] == KIND_GATE}
         assert gates == set(circuit.gates)
+
+
+def _assert_cuts_match_reference(circuit, phi, labels, extra_depth, max_cuts):
+    """``cut_on_packed`` equals the reference on every gate at the
+    thresholds ``l(v)`` and ``l(v) - 1``; returns the queries compared
+    (leaf-only, with candidates)."""
+    cc = circuit.compiled()
+    leaf_only = with_candidates = 0
+    for v in circuit.gates:
+        for threshold in (labels[v], labels[v] - 1):
+            packed = expand_partial_packed(
+                cc, v, phi, labels, threshold, extra_depth
+            )
+            if packed.candidates:
+                with_candidates += 1
+            else:
+                leaf_only += 1
+            for max_cut in max_cuts:
+                ref_cut = _reference_cut(packed, max_cut)
+                packed_cut = cut_on_packed(packed, max_cut)
+                tag = (circuit.name_of(v), threshold, max_cut)
+                if ref_cut is None:
+                    assert packed_cut is None, tag
+                else:
+                    assert packed_cut is not None, tag
+                    assert packed.unpack_copies(packed_cut) == ref_cut, tag
+    return leaf_only, with_candidates
+
+
+class TestLeafOnlyShortcut:
+    """Expansions without candidate copies are answered by a leaf count;
+    the reference still runs a flow on each of them."""
+
+    @pytest.mark.parametrize("extra_depth", [0, 1])
+    @pytest.mark.parametrize("name", ["bbara", "keyb", "s838"])
+    def test_cuts_match_reference_on_every_gate(self, name, extra_depth):
+        circuit, phi, labels = _solved(name)
+        leaf_only, with_candidates = _assert_cuts_match_reference(
+            circuit, phi, labels, extra_depth, (1, 2, 5, 15)
+        )
+        assert leaf_only > 0
+        if extra_depth == 0:
+            assert with_candidates == 0
+        else:
+            assert with_candidates > 0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        k=st.sampled_from([2, 3, 5]),
+        extra_depth=st.sampled_from([0, 1]),
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_random_circuits_match_reference(self, seed, k, extra_depth):
+        circuit = random_seq_circuit(3, 12, seed=seed, feedback=3)
+        phi, labels = _min_phi_labels(circuit, k, extra_depth)
+        _assert_cuts_match_reference(
+            circuit, phi, labels, extra_depth, (1, k, k + 1)
+        )
+
+    def test_leaf_only_queries_build_no_network(
+        self, solved_bbara, monkeypatch
+    ):
+        circuit, phi, labels = solved_bbara
+        cc = circuit.compiled()
+        arena = PackedCutArena(flow="dinic")
+
+        def no_arena(*args, **kwargs):
+            raise AssertionError("a leaf-only query built a flow network")
+
+        monkeypatch.setattr("repro.kernel.expand.PackedCutArena", no_arena)
+        answered = 0
+        for v in circuit.gates:
+            for threshold in (labels[v], labels[v] - 1):
+                packed = expand_partial_packed(cc, v, phi, labels, threshold)
+                assert not packed.candidates
+                for max_cut in (2, 5):
+                    cut_on_packed(packed, max_cut)
+                    cut_on_packed(packed, max_cut, arena)
+                    answered += 1
+        assert answered > 0
+        assert arena.drain_counters() == (0, 0)
+        assert arena.net.num_nodes == 0

@@ -18,6 +18,9 @@ class TestBenchCircuit:
             assert sample["flow_queries"] > 0
             assert sample["t_flow"] >= 0.0
             assert sample["us_per_query"] >= 0.0
+        # The matrix runs at extra_depth=1, where expansions have
+        # candidate copies and the flow engines still run.
+        assert res["extra_depth"] == microbench.EXTRA_DEPTH == 1
         assert res["cells"]["dinic+compiled"]["dinic_phases"] > 0
         assert res["cells"]["ek+compiled"]["dinic_phases"] == 0
         assert res["phi"] >= 1
@@ -48,4 +51,5 @@ class TestCli:
         assert payload["kind"] == "bench-table"
         assert any(row.endswith("/handoff") for row in payload["rows"])
         assert "bbara/dinic+compiled" in payload["rows"]
+        assert payload["rows"]["bbara/dinic+compiled"]["extra_depth"] == 1
         assert "envelope" not in payload
