@@ -18,9 +18,6 @@ SAN003    flow-conservation           net residual flow is zero at every
                                       internal node
 SAN004    capacity-respect            residual capacities non-negative and
                                       forward/reverse pair sums preserved
-SAN005    level-graph-sanity          every positive-capacity arc between
-                                      BFS-reached nodes rises at most one
-                                      level
 SAN006    reused-label-exactness      clean gates of a dirty-seeded repair
                                       keep the adopted fixpoint verbatim
                                       and stay justified
@@ -31,14 +28,15 @@ A violated hook raises :class:`SanitizerViolation` carrying a full
 to render, collect, or abort.  The rules are registered under the
 ``"sanitizer"`` scope purely for metadata (SARIF descriptors, rule
 listings); their check functions never run through the engine because
-the hooks fire in-line.
+the hooks fire in-line.  SAN005 (level-graph sanity) checked the BFS
+levels of the retired Dinic engine and is not reused.
 
 ``python -m repro.analysis.sanitize --selftest`` runs the seeded
 mutation-testing harness: for every hook it injects one bug into the
 engine under test (a label decrease, a phantom label bump, a flow
-transfer, a negative capacity, a corrupted BFS level, a corrupted
-adopted label) and asserts that exactly that hook catches it, and that
-the unmutated runs stay silent.
+transfer, a negative capacity, a corrupted adopted label) and asserts
+that exactly that hook catches it, and that the unmutated runs stay
+silent.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from repro.analysis.engine import (
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
     from repro.core.labels import DirtySeed, LabelSolver
-    from repro.kernel.dinic import DinicNetwork
+    from repro.comb.maxflow import FlowNetwork
 
 #: Environment variable that switches the sanitizer on.
 ENV_FLAG = "REPRO_SANITIZE"
@@ -154,13 +152,6 @@ _describe(
     "capacity-respect",
     "Residual capacities must stay non-negative and every forward/"
     "reverse edge pair must preserve its original capacity sum.",
-)
-_describe(
-    "SAN005",
-    "level-graph-sanity",
-    "Right after a BFS phase, no positive-capacity arc between reached "
-    "nodes may rise more than one level (Dinic's phase correctness "
-    "rests on it).",
 )
 _describe(
     "SAN006",
@@ -312,14 +303,14 @@ def label_sanitizer(
 
 
 # ----------------------------------------------------------------------
-# Dinic hooks (SAN003 / SAN004 / SAN005)
+# Max-flow hooks (SAN003 / SAN004)
 # ----------------------------------------------------------------------
 class FlowSanitizer:
-    """Armed assertion hooks for one :class:`DinicNetwork` arena.
+    """Armed assertion hooks for one :class:`FlowNetwork`.
 
     Records every edge's original capacity (``record_edge``) so the
     end-of-run checks can verify pair-sum preservation exactly; the
-    record is cleared together with the arena on ``reset``.
+    record is cleared together with the network on ``reset``.
     """
 
     def __init__(self) -> None:
@@ -332,57 +323,11 @@ class FlowSanitizer:
         self.orig.extend((cap, 0))
 
     @staticmethod
-    def _loc(net: "DinicNetwork") -> Location:
-        return Location("dinic", f"n{net.num_nodes}e{len(net._to)}")
-
-    def check_levels(
-        self, net: "DinicNetwork", source: int, sink: int
-    ) -> None:
-        """SAN005: the freshly computed BFS levels are a level graph.
-
-        The check models the two deliberate cutoffs of
-        :meth:`DinicNetwork._bfs_levels`: the sink is never expanded,
-        and a node whose successors would land exactly on the sink's
-        level is skipped (``du == sink_level``) — arcs out of either
-        may legitimately reach nodes labelled deeper, so only arcs
-        whose tail was provably expanded are held to ``lv <= lu + 1``.
-        """
-        to = net._to
-        cap = net._cap
-        level = net._level
-        if level[source] != 0:
-            raise _violation(
-                "SAN005",
-                f"BFS assigned level {level[source]} to the source",
-                self._loc(net),
-                source=source,
-            )
-        sink_level = level[sink]
-        for idx in range(len(to)):
-            if cap[idx] <= 0:
-                continue
-            u = to[idx ^ 1]
-            v = to[idx]
-            if u == sink:
-                continue  # the sink is never expanded
-            lu = level[u]
-            lv = level[v]
-            if lu + 1 == sink_level:
-                continue  # expansion skipped at the sink-level cutoff
-            if lu >= 0 and lv >= 0 and lv > lu + 1:
-                raise _violation(
-                    "SAN005",
-                    f"positive-capacity arc {u}->{v} jumps from level "
-                    f"{lu} to level {lv}",
-                    self._loc(net),
-                    u=u,
-                    v=v,
-                    level_u=lu,
-                    level_v=lv,
-                )
+    def _loc(net: "FlowNetwork") -> Location:
+        return Location("maxflow", f"n{net.num_nodes}e{len(net._to)}")
 
     def check_flow(
-        self, net: "DinicNetwork", source: int, sink: int
+        self, net: "FlowNetwork", source: int, sink: int
     ) -> None:
         """SAN003 / SAN004: conservation and capacity on the residual."""
         to = net._to
@@ -393,7 +338,7 @@ class FlowSanitizer:
             raise _violation(
                 "SAN004",
                 f"original-capacity record covers {len(orig)} edges, "
-                f"the arena has {n_edges}",
+                f"the network has {n_edges}",
                 self._loc(net),
             )
         balance = [0] * net.num_nodes
@@ -435,7 +380,7 @@ class FlowSanitizer:
 
 
 def flow_sanitizer() -> Optional[FlowSanitizer]:
-    """The hook object :class:`DinicNetwork` installs when enabled."""
+    """The hook object :class:`FlowNetwork` installs when enabled."""
     if not enabled():
         return None
     return FlowSanitizer()
@@ -503,8 +448,9 @@ def _run_solver(
     return solver.run()
 
 
-def _mutate_update_decrease() -> None:
-    """SAN001 seed: one ``_update`` call zeroes the label it just set."""
+def _corrupt_first_update(corrupt: Callable[["LabelSolver", int], None]) -> None:
+    """Run the chain scenario with ``corrupt(solver, v)`` applied right
+    after the first ``_update`` call."""
     from repro.core.labels import LabelSolver
 
     original = LabelSolver._update
@@ -514,7 +460,7 @@ def _mutate_update_decrease() -> None:
         rose = original(self, v)
         if armed[0]:
             armed[0] = False
-            self.labels[v] = 0
+            corrupt(self, v)
         return rose
 
     LabelSolver._update = corrupted  # type: ignore[method-assign]
@@ -522,34 +468,31 @@ def _mutate_update_decrease() -> None:
         _run_solver(_chain_circuit(), phi=1)
     finally:
         LabelSolver._update = original  # type: ignore[method-assign]
+
+
+def _mutate_update_decrease() -> None:
+    """SAN001 seed: one ``_update`` call zeroes the label it just set."""
+
+    def zero(solver: "LabelSolver", v: int) -> None:
+        solver.labels[v] = 0
+
+    _corrupt_first_update(zero)
 
 
 def _mutate_update_overshoot() -> None:
     """SAN002 seed: one ``_update`` call bumps the label by 2 (an
     increase, so SAN001 stays silent; the fixpoint bound catches it)."""
-    from repro.core.labels import LabelSolver
 
-    original = LabelSolver._update
-    armed = [True]
+    def bump(solver: "LabelSolver", v: int) -> None:
+        solver.labels[v] += 2
 
-    def corrupted(self: "LabelSolver", v: int) -> bool:
-        rose = original(self, v)
-        if armed[0]:
-            armed[0] = False
-            self.labels[v] += 2
-        return rose
-
-    LabelSolver._update = corrupted  # type: ignore[method-assign]
-    try:
-        _run_solver(_chain_circuit(), phi=1)
-    finally:
-        LabelSolver._update = original  # type: ignore[method-assign]
+    _corrupt_first_update(bump)
 
 
-def _dinic_network() -> Tuple["DinicNetwork", int, int]:
-    from repro.kernel.dinic import DinicNetwork
+def _flow_network() -> Tuple["FlowNetwork", int, int]:
+    from repro.comb.maxflow import FlowNetwork
 
-    net = DinicNetwork()
+    net = FlowNetwork()
     s, a, b, t = net.add_nodes(4)
     net.add_edge(s, a, 2)
     net.add_edge(a, b, 1)
@@ -558,81 +501,52 @@ def _dinic_network() -> Tuple["DinicNetwork", int, int]:
     return net, s, t
 
 
+def _corrupt_first_augment(corrupt: Callable[["FlowNetwork"], None]) -> None:
+    """Run the selftest network with ``corrupt(net)`` applied right
+    after the first augmentation that pushes flow."""
+    from repro.comb.maxflow import FlowNetwork
+
+    original = FlowNetwork._augment
+    armed = [True]
+
+    def corrupted(self: "FlowNetwork", source: int, sink: int) -> int:
+        pushed = original(self, source, sink)
+        if armed[0] and pushed:
+            armed[0] = False
+            corrupt(self)
+        return pushed
+
+    FlowNetwork._augment = corrupted  # type: ignore[method-assign]
+    try:
+        net, s, t = _flow_network()
+        net.max_flow(s, t, limit=10)
+    finally:
+        FlowNetwork._augment = original  # type: ignore[method-assign]
+
+
 def _mutate_augment_transfer() -> None:
     """SAN003 seed: after one augmentation, move one capacity unit from
     a forward edge to its reverse — pair sums and non-negativity hold
     (SAN004 silent), but the phantom flow breaks conservation."""
-    from repro.kernel.dinic import DinicNetwork
 
-    original = DinicNetwork._augment
-    armed = [True]
+    def transfer(net: "FlowNetwork") -> None:
+        for idx in range(0, len(net._cap), 2):
+            if net._cap[idx] >= 1:
+                net._cap[idx] -= 1
+                net._cap[idx ^ 1] += 1
+                return
 
-    def corrupted(self: "DinicNetwork", source: int, sink: int) -> int:
-        pushed = original(self, source, sink)
-        if armed[0] and pushed:
-            armed[0] = False
-            for idx in range(0, len(self._cap), 2):
-                if self._cap[idx] >= 1:
-                    self._cap[idx] -= 1
-                    self._cap[idx ^ 1] += 1
-                    break
-        return pushed
-
-    DinicNetwork._augment = corrupted  # type: ignore[method-assign]
-    try:
-        net, s, t = _dinic_network()
-        net.max_flow(s, t, limit=10)
-    finally:
-        DinicNetwork._augment = original  # type: ignore[method-assign]
+    _corrupt_first_augment(transfer)
 
 
 def _mutate_augment_negative() -> None:
     """SAN004 seed: after one augmentation, force a forward capacity to
     -2 — conservation reads only reverse capacities (SAN003 silent)."""
-    from repro.kernel.dinic import DinicNetwork
 
-    original = DinicNetwork._augment
-    armed = [True]
+    def negative(net: "FlowNetwork") -> None:
+        net._cap[0] = -2
 
-    def corrupted(self: "DinicNetwork", source: int, sink: int) -> int:
-        pushed = original(self, source, sink)
-        if armed[0] and pushed:
-            armed[0] = False
-            self._cap[0] = -2
-        return pushed
-
-    DinicNetwork._augment = corrupted  # type: ignore[method-assign]
-    try:
-        net, s, t = _dinic_network()
-        net.max_flow(s, t, limit=10)
-    finally:
-        DinicNetwork._augment = original  # type: ignore[method-assign]
-
-
-def _mutate_bfs_level() -> None:
-    """SAN005 seed: corrupt one reached node's BFS level upward by 1 —
-    its BFS parent then feeds it across two levels."""
-    from repro.kernel.dinic import DinicNetwork
-
-    original = DinicNetwork._bfs_levels
-    armed = [True]
-
-    def corrupted(self: "DinicNetwork", source: int, sink: int) -> bool:
-        reached = original(self, source, sink)
-        if armed[0] and reached:
-            armed[0] = False
-            for v in range(self.num_nodes):
-                if self._level[v] >= 1:
-                    self._level[v] += 1
-                    break
-        return reached
-
-    DinicNetwork._bfs_levels = corrupted  # type: ignore[method-assign]
-    try:
-        net, s, t = _dinic_network()
-        net.max_flow(s, t, limit=10)
-    finally:
-        DinicNetwork._bfs_levels = original  # type: ignore[method-assign]
+    _corrupt_first_augment(negative)
 
 
 def _mutate_adopted_label() -> None:
@@ -656,7 +570,7 @@ def _clean_runs() -> None:
     from repro.core.labels import DirtySeed
 
     _run_solver(_chain_circuit(), phi=1)
-    net, s, t = _dinic_network()
+    net, s, t = _flow_network()
     flow = net.max_flow(s, t, limit=10)
     assert flow == 2, f"selftest network has max flow {flow}, want 2"
     circuit, _ring_gate, side_gate = _ring_circuit()
@@ -675,7 +589,6 @@ _MUTATIONS: List[Tuple[str, Callable[[], None]]] = [
     ("SAN002", _mutate_update_overshoot),
     ("SAN003", _mutate_augment_transfer),
     ("SAN004", _mutate_augment_negative),
-    ("SAN005", _mutate_bfs_level),
     ("SAN006", _mutate_adopted_label),
 ]
 

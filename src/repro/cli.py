@@ -136,7 +136,7 @@ def _maybe_sanitize(args: argparse.Namespace) -> None:
     """Arm the invariant sanitizer when ``--sanitize`` was given.
 
     Equivalent to running under ``REPRO_SANITIZE=1``: label solvers and
-    flow arenas constructed afterwards carry the SAN0xx assertion
+    flow networks constructed afterwards carry the SAN0xx assertion
     hooks; a violation aborts the command with the diagnostic.
     """
     if getattr(args, "sanitize", False):

@@ -6,18 +6,24 @@ node-split network: every candidate cut node becomes an internal edge of
 capacity 1, all other edges get infinite capacity, and a K-feasible cut
 exists iff the max flow is at most K.  Flows never need to exceed ``K+1``,
 so BFS augmentation (Edmonds-Karp) with an early cutoff is exact and fast:
-``O((K+1) * E)`` per query.
+``O((K+1) * E)`` per query.  With at most ``K + 1`` augmenting paths per
+query a level-graph solver (Dinic) has nothing to amortise, and measured
+slower on every flow-running workload, so this is the one engine.
 
-:class:`FlowNetwork` is a minimal residual-graph implementation;
-:func:`node_split_network` builds the standard construction from a DAG
-description and :func:`min_cut_nodes` recovers the cut-node set after a
-bounded max-flow run.
+:class:`FlowNetwork` is a minimal residual-graph implementation, also
+used directly by the packed cut queries of :mod:`repro.kernel.expand`;
+:class:`SplitNetwork` builds the standard node-split construction over
+an abstract DAG and recovers the cut-node set after a bounded max-flow
+run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
+
+if TYPE_CHECKING:
+    from repro.analysis.sanitize import FlowSanitizer
 
 #: Effectively infinite capacity for non-cut edges.
 INF = 1 << 30
@@ -37,6 +43,17 @@ class FlowNetwork:
         # BFS parent-edge scratch, grown on demand and reused across
         # max_flow calls (one allocation per network, not per query).
         self._parent_edge: List[int] = []
+        # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
+        # conservation and capacity checks after every max_flow call.
+        # Imported lazily at construction time — the analysis package
+        # imports the label solver, which imports this module.
+        self._san: Optional["FlowSanitizer"] = None
+        try:
+            from repro.analysis.sanitize import flow_sanitizer
+        except ImportError:  # pragma: no cover - analysis always ships
+            pass
+        else:
+            self._san = flow_sanitizer()
 
     def reset(self) -> None:
         """Empty the network in place, keeping allocations for reuse.
@@ -48,6 +65,8 @@ class FlowNetwork:
         """
         self._to.clear()
         self._cap.clear()
+        if self._san is not None:
+            self._san.reset()
         while self._adj:
             lst = self._adj.pop()
             lst.clear()
@@ -76,6 +95,8 @@ class FlowNetwork:
         idx = len(self._to)
         self._to.extend((v, u))
         self._cap.extend((cap, 0))
+        if self._san is not None:
+            self._san.record_edge(cap)
         self._adj[u].append(idx)
         self._adj[v].append(idx + 1)
         return idx
@@ -84,53 +105,63 @@ class FlowNetwork:
         """Current flow on edge ``idx`` (capacity moved to its reverse)."""
         return self._cap[idx ^ 1]
 
-    def max_flow(self, source: int, sink: int, limit: int) -> int:
-        """Edmonds-Karp max-flow, stopping once the flow exceeds ``limit``.
-
-        Returns ``min(true max flow, limit + 1)``: a return value of
-        ``limit + 1`` means "more than limit", which is all the K-cut
-        queries need to know.
-        """
-        if source == sink:
-            raise ValueError("source equals sink")
-        flow = 0
+    def _augment(self, source: int, sink: int) -> int:
+        """Push one BFS-shortest augmenting path; 0 when none is left."""
         parent_edge = self._parent_edge
         n = len(self._adj)
         while len(parent_edge) < n:
             parent_edge.append(-1)
+        for i in range(n):
+            parent_edge[i] = -1
+        parent_edge[source] = -2
+        queue = deque([source])
+        found = False
+        while queue and not found:
+            u = queue.popleft()
+            for idx in self._adj[u]:
+                v = self._to[idx]
+                if parent_edge[v] == -1 and self._cap[idx] > 0:
+                    parent_edge[v] = idx
+                    if v == sink:
+                        found = True
+                        break
+                    queue.append(v)
+        if not found:
+            return 0
+        # Augment by the bottleneck along the path (>= 1).
+        bottleneck = INF
+        v = sink
+        while v != source:
+            idx = parent_edge[v]
+            bottleneck = min(bottleneck, self._cap[idx])
+            v = self._to[idx ^ 1]
+        v = sink
+        while v != source:
+            idx = parent_edge[v]
+            self._cap[idx] -= bottleneck
+            self._cap[idx ^ 1] += bottleneck
+            v = self._to[idx ^ 1]
+        return bottleneck
+
+    def max_flow(self, source: int, sink: int, limit: int) -> int:
+        """Edmonds-Karp max-flow, stopping once the flow exceeds ``limit``.
+
+        Returns the exact max flow when it is at most ``limit``, and a
+        value ``> limit`` otherwise: "more than limit" is all the K-cut
+        queries need to know.  The cutoff falls between whole augmenting
+        paths, so :meth:`residual_reachable` after a run that returned
+        at most ``limit`` is the source side of a minimum cut.
+        """
+        if source == sink:
+            raise ValueError("source equals sink")
+        flow = 0
         while flow <= limit:
-            # BFS for an augmenting path.
-            for i in range(n):
-                parent_edge[i] = -1
-            parent_edge[source] = -2
-            queue = deque([source])
-            found = False
-            while queue and not found:
-                u = queue.popleft()
-                for idx in self._adj[u]:
-                    v = self._to[idx]
-                    if parent_edge[v] == -1 and self._cap[idx] > 0:
-                        parent_edge[v] = idx
-                        if v == sink:
-                            found = True
-                            break
-                        queue.append(v)
-            if not found:
-                return flow
-            # Augment by the bottleneck along the path (>= 1).
-            bottleneck = INF
-            v = sink
-            while v != source:
-                idx = parent_edge[v]
-                bottleneck = min(bottleneck, self._cap[idx])
-                v = self._to[idx ^ 1]
-            v = sink
-            while v != source:
-                idx = parent_edge[v]
-                self._cap[idx] -= bottleneck
-                self._cap[idx ^ 1] += bottleneck
-                v = self._to[idx ^ 1]
-            flow += bottleneck
+            pushed = self._augment(source, sink)
+            if not pushed:
+                break
+            flow += pushed
+        if self._san is not None:
+            self._san.check_flow(self, source, sink)
         return flow
 
     def residual_reachable(self, source: int) -> Set[int]:
@@ -151,54 +182,21 @@ class FlowNetwork:
         return seen
 
 
-#: Valid ``flow=`` engines for :class:`SplitNetwork` and the label solver.
-FLOWS = ("dinic", "ek")
-
-
 class SplitNetwork:
     """A node-split flow network over an abstract DAG.
 
-    Build with :func:`node_split_network`.  ``inp[x]``/``out[x]`` map each
-    DAG node to its split pair; ``split_edge[x]`` is the capacity-1
-    internal edge whose saturation marks ``x`` as a cut node.
-
-    ``flow`` selects the max-flow engine backing the queries:
-    ``"dinic"`` (level-graph phases with current-arc cursors,
-    :class:`repro.kernel.dinic.DinicNetwork`) or ``"ek"`` (the
-    Edmonds-Karp :class:`FlowNetwork`).  Both satisfy the same bounded
-    contract and — because the source-side residual min-cut is unique
-    for any max flow — report identical cut-node sets.
+    Build with :meth:`add_dag_node`, :meth:`add_dag_edge`,
+    :meth:`attach_source` and :meth:`attach_sink`.  ``inp[x]`` /
+    ``out[x]`` map each DAG node to its split pair, joined by a
+    capacity-1 internal edge whose saturation marks ``x`` as a cut node.
     """
 
-    def __init__(self, flow: str = "dinic") -> None:
-        if flow == "dinic":
-            # Local import: repro.kernel imports back into repro.core,
-            # which imports this module.
-            from repro.kernel.dinic import DinicNetwork
-
-            self.net: FlowNetwork = DinicNetwork()  # API-compatible
-        elif flow == "ek":
-            self.net = FlowNetwork()
-        else:
-            raise ValueError(
-                f"unknown flow engine {flow!r}; valid engines: "
-                + ", ".join(FLOWS)
-            )
-        self.flow = flow
+    def __init__(self) -> None:
+        self.net = FlowNetwork()
         self.source = self.net.add_node()
         self.sink = self.net.add_node()
         self.inp: Dict[object, int] = {}
         self.out: Dict[object, int] = {}
-        self.split_edge: Dict[object, int] = {}
-
-    def reset(self) -> None:
-        """Empty the network in place for reuse by the next cut query."""
-        self.net.reset()
-        self.source = self.net.add_node()
-        self.sink = self.net.add_node()
-        self.inp.clear()
-        self.out.clear()
-        self.split_edge.clear()
 
     def add_dag_node(self, x: object, cuttable: bool = True) -> None:
         """Register DAG node ``x``; ``cuttable`` nodes get a unit split edge."""
@@ -208,7 +206,7 @@ class SplitNetwork:
         b = self.net.add_node()
         self.inp[x] = a
         self.out[x] = b
-        self.split_edge[x] = self.net.add_edge(a, b, 1 if cuttable else INF)
+        self.net.add_edge(a, b, 1 if cuttable else INF)
 
     def add_dag_edge(self, x: object, y: object) -> None:
         """Infinite-capacity edge from DAG node ``x`` to DAG node ``y``."""
@@ -229,17 +227,6 @@ class SplitNetwork:
 
     def max_flow(self, limit: int) -> int:
         return self.net.max_flow(self.source, self.sink, limit)
-
-    def drain_counters(self) -> Tuple[int, int]:
-        """Per-query ``(phases, arcs_advanced)`` of a Dinic backend.
-
-        The Edmonds-Karp backend has no level-graph phases; it reports
-        ``(0, 0)`` so the telemetry counters stay engine-comparable.
-        """
-        drain = getattr(self.net, "drain_counters", None)
-        if drain is None:
-            return (0, 0)
-        return drain()
 
     def cut_nodes(self) -> List[object]:
         """Cut-node set after :meth:`max_flow` (saturated split edges).

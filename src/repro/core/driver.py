@@ -163,7 +163,6 @@ def probe_phi(
     engine: str = "worklist",
     seed_labels: Optional[List[int]] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
     dirty_seed: Optional[DirtySeed] = None,
 ) -> LabelOutcome:
     """One feasibility query: run the label computation at ``phi``.
@@ -174,10 +173,9 @@ def probe_phi(
     :class:`ProbeTimeout` is raised in whichever process runs the probe.
     ``seed_labels`` warm-starts the solver from a converged label set of
     a larger period (see :func:`nearest_warm_seed`) and ``max_copies``
-    bounds each partial expansion.  ``engine`` / ``flow`` default to
-    the production label path; the paper's ``"rounds"`` engine and the
-    ``"ek"`` flow are test oracles with bit-identical outcomes (see
-    :mod:`repro.kernel`).  ``dirty_seed`` repairs a previous fixpoint at
+    bounds each partial expansion.  ``engine`` defaults to the
+    production label path; the paper's ``"rounds"`` engine is a test
+    oracle (see :mod:`repro.kernel`).  ``dirty_seed`` repairs a previous fixpoint at
     the same phi incrementally (:class:`repro.core.labels.DirtySeed`) —
     still bit-identical to a cold probe.
     """
@@ -196,7 +194,6 @@ def probe_phi(
         engine=engine,
         seed_labels=seed_labels,
         max_copies=max_copies,
-        flow=flow,
         dirty_seed=dirty_seed,
     )
     return solver.run()
@@ -264,7 +261,6 @@ def search_min_phi(
     engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
     prev_outcomes: Optional[Dict[int, LabelOutcome]] = None,
     dirty: Optional[Set[int]] = None,
     cache: Optional["OutcomeCache"] = None,
@@ -293,8 +289,7 @@ def search_min_phi(
     raises a cold start would recompute.  The returned ``phi_min`` and
     its labels are identical either way; only the per-probe work drops.
 
-    ``engine`` / ``flow`` are passed to every probe (see
-    :func:`probe_phi`).
+    ``engine`` is passed to every probe (see :func:`probe_phi`).
 
     ``prev_outcomes`` + ``dirty`` enable incremental repair
     (:mod:`repro.incremental`): when a probe lands on a phi whose
@@ -388,7 +383,6 @@ def search_min_phi(
                 engine=engine,
                 seed_labels=seed,
                 max_copies=max_copies,
-                flow=flow,
                 dirty_seed=dirty_seed,
             )
             if seed_from_cache:
@@ -530,11 +524,11 @@ def run_mapper(
     certificate; pass ``check=False`` to opt out (e.g. in tight inner
     benchmark loops).
 
-    Probes run the production label path (worklist engine, Dinic flow,
-    compiled kernel).  ``warm_start`` toggles cross-probe label
-    seeding and ``max_copies`` bounds each partial expansion — in the
-    search and in the mapping generation after it; both leave ``phi``
-    and the labels bit-identical.
+    Probes run the production label path (worklist engine, compiled
+    kernel).  ``warm_start`` toggles cross-probe label seeding and
+    ``max_copies`` bounds each partial expansion — in the search and in
+    the mapping generation after it; both leave ``phi`` and the labels
+    bit-identical.
 
     ``outcomes`` seeds (and collects) the probe cache across *calls*:
     a mapping interrupted mid-search can resume from its journaled

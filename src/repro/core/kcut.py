@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.comb.maxflow import FlowNetwork
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy
 from repro.kernel.expand import (
-    PackedCutArena,
     PackedExpansion,
     cut_on_packed,
     expand_partial_packed,
@@ -58,7 +58,7 @@ def find_height_cut(
     threshold); the flow bounds the cut size.  ``extra_depth`` expands
     through candidate copies below the threshold (see
     :mod:`repro.kernel.expand`).  A query that runs a flow allocates
-    its own arena, so concurrent queries never share scratch state.
+    its own network, so concurrent queries never share scratch state.
     """
     expansion = expand_partial_packed(
         circuit.compiled(),
@@ -76,17 +76,17 @@ def find_height_cut(
 def cut_on_expansion(
     expansion: PackedExpansion,
     max_cut: int,
-    arena: Optional[PackedCutArena] = None,
+    net: Optional[FlowNetwork] = None,
 ) -> Optional[List[Copy]]:
     """Answer the cut query on a prepared partial expansion.
 
     Returns the cut as ``(u, w)`` tuples sorted by ``(u, w)``, or
     ``None`` when the expansion is blocked or every cut needs more than
-    ``max_cut`` nodes.  ``arena`` recycles a caller-owned
-    :class:`~repro.kernel.expand.PackedCutArena` for the queries that
-    run a flow (expansions with candidate copies).
+    ``max_cut`` nodes.  ``net`` recycles a caller-owned
+    :class:`~repro.comb.maxflow.FlowNetwork` for the queries that run a
+    flow (expansions with candidate copies).
     """
-    packed = cut_on_packed(expansion, max_cut, arena)
+    packed = cut_on_packed(expansion, max_cut, net)
     if packed is None:
         return None
     return expansion.unpack_copies(packed)

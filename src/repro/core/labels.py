@@ -49,9 +49,9 @@ A per-node memo keyed on the labels actually read by the last flow query
 skips unchanged re-checks; the solver additionally retains the partial
 expansion behind each memo entry (so the resynthesis hook can reuse it
 at the same threshold, see :meth:`LabelSolver.expansion_for`) and
-recycles a single :class:`~repro.kernel.expand.PackedCutArena` across
-all of its cut queries that run a flow (those whose expansion has
-candidate copies; the rest are leaf counts).
+recycles a single :class:`~repro.comb.maxflow.FlowNetwork` across all of
+its cut queries that run a flow (those whose expansion has candidate
+copies; the rest are leaf counts).
 
 Cross-probe warm starts: labels are *antitone in phi* — a converged
 label set at ``phi2`` is a valid lower bound at any ``phi1 < phi2`` — so
@@ -84,16 +84,12 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.comb.maxflow import FLOWS
+from repro.comb.maxflow import FlowNetwork
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.kcut import cut_on_expansion
 from repro.core.pld import grounded_members
 from repro.kernel.csr import KIND_GATE
-from repro.kernel.expand import (
-    PackedCutArena,
-    PackedExpansion,
-    expand_partial_packed,
-)
+from repro.kernel.expand import PackedExpansion, expand_partial_packed
 from repro.netlist.graph import NodeKind, SeqCircuit
 from repro.resilience.budget import ProbeTimeout
 
@@ -114,12 +110,10 @@ class LabelStats:
     seeds skipped, and ``expansions_reused`` the partial expansions the
     resynthesis hook reused instead of rebuilding.
 
-    ``flow_queries`` counts cut queries, whether or not they ran a flow.
-    ``dinic_phases`` / ``arcs_advanced`` are the Dinic flow engine's
-    deterministic work counters (level-graph BFS phases run and arcs
-    examined by the blocking-flow search, summed over all cut queries).
-    Only expansions with candidate copies run a flow, so both stay 0
-    at ``extra_depth=0`` and under the Edmonds-Karp engine.
+    ``flow_queries`` counts cut queries, whether or not they ran a flow;
+    ``flow_solves`` counts the ones that ran a max-flow.  Only
+    expansions with candidate copies run a flow, so ``flow_solves``
+    stays 0 at the paper's ``extra_depth=0``.
 
     The incremental-repair counters (all 0 on cold runs): ``dirty_nodes``
     is the dirty-region size of the edit being repaired (fixed per
@@ -149,8 +143,7 @@ class LabelStats:
     warm_seeded: int = 0
     warm_savings: int = 0
     expansions_reused: int = 0
-    dinic_phases: int = 0
-    arcs_advanced: int = 0
+    flow_solves: int = 0
     dirty_nodes: int = 0
     labels_reused: int = 0
     witnesses_revalidated: int = 0
@@ -175,8 +168,7 @@ class LabelStats:
         self.warm_seeded += other.warm_seeded
         self.warm_savings += other.warm_savings
         self.expansions_reused += other.expansions_reused
-        self.dinic_phases += other.dinic_phases
-        self.arcs_advanced += other.arcs_advanced
+        self.flow_solves += other.flow_solves
         self.dirty_nodes = max(self.dirty_nodes, other.dirty_nodes)
         self.labels_reused += other.labels_reused
         self.witnesses_revalidated += other.witnesses_revalidated
@@ -188,6 +180,16 @@ class LabelStats:
         self.t_expand += other.t_expand
         self.t_flow += other.t_flow
         self.t_pld += other.t_pld
+
+    @property
+    def arcs_advanced(self) -> int:
+        """Always 0: the work counter of the retired Dinic engine.
+
+        Not a field, so reports no longer carry it; kept readable only
+        because the benchmark tracer (``perfbench/spans.py``) still sums
+        it.  Remove together with that read.
+        """
+        return 0
 
 
 @dataclass
@@ -249,7 +251,6 @@ class LabelSolver:
         engine: str = "worklist",
         seed_labels: Optional[Sequence[int]] = None,
         max_copies: int = DEFAULT_MAX_COPIES,
-        flow: str = "dinic",
         dirty_seed: Optional[DirtySeed] = None,
     ) -> None:
         if phi < 1:
@@ -259,11 +260,6 @@ class LabelSolver:
                 f"unknown label engine {engine!r}; valid engines: "
                 + ", ".join(ENGINES)
             )
-        if flow not in FLOWS:
-            raise ValueError(
-                f"unknown flow engine {flow!r}; valid engines: "
-                + ", ".join(FLOWS)
-            )
         self.circuit = circuit
         self.k = k
         self.phi = phi
@@ -271,7 +267,6 @@ class LabelSolver:
         self.pld = pld
         self.extra_depth = extra_depth
         self.engine = engine
-        self.flow = flow
         self.max_copies = max_copies
         #: Absolute ``time.monotonic()`` value by which the run must
         #: finish; checked cooperatively once per label round, raising
@@ -371,10 +366,10 @@ class LabelSolver:
         # worklist conservatively re-enqueues every such gate after any
         # in-SCC label rise (upstream SCCs are already frozen).
         self._resyn_dep: Set[int] = set()
-        # One scratch arena recycled across every cut query that runs a
-        # flow, backed by the selected flow engine.
+        # One flow network recycled across every cut query that runs a
+        # flow.
         self._cc = circuit.compiled()
-        self._packed_arena = PackedCutArena(flow=flow)
+        self._net = FlowNetwork()
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -480,11 +475,10 @@ class LabelSolver:
         t1 = time.perf_counter()
         self.stats.t_expand += t1 - t0
         self.stats.flow_queries += 1
-        cut = cut_on_expansion(expansion, self.k, arena=self._packed_arena)
-        phases, arcs = self._packed_arena.drain_counters()
+        cut = cut_on_expansion(expansion, self.k, net=self._net)
         self.stats.t_flow += time.perf_counter() - t1
-        self.stats.dinic_phases += phases
-        self.stats.arcs_advanced += arcs
+        if expansion.candidates and not expansion.blocked:
+            self.stats.flow_solves += 1
         # The memo reads frontier copies as (u, w) pairs.  Packed tiers
         # decode lazily here — the frontier is tiny next to the interior
         # the hot loops just traversed.

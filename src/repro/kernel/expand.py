@@ -29,34 +29,22 @@ the max flow is the leaf count and the minimal min cut is the whole
 leaf set.  :func:`cut_on_packed` answers such a query by counting.
 
 Only expansions with candidates build the node-split flow network,
-straight into a flat-array max-flow solver.  The source side of the
-residual min-cut is unique for a given network, independent of the
-max-flow engine, so the Dinic and Edmonds-Karp arenas return the same
-cut sets; ``tests/kernel`` asserts this, and checks the tiers and cuts
-(leaf counts included) against an independent node-split reference
-built in the tests.
+straight into the Edmonds-Karp :class:`~repro.comb.maxflow.FlowNetwork`.
+The cut is the source side of the residual min cut, which is unique for
+a given network.  ``tests/kernel/test_expand.py`` checks the tiers and
+cuts (leaf counts included) against an independent node-split
+reference, and ``tests/comb/test_maxflow_oracle.py`` checks the cuts
+against a brute-force minimum vertex cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.comb.maxflow import INF, FlowNetwork
 from repro.core.expanded import DEFAULT_MAX_COPIES, ExpansionOverflow
 from repro.kernel.csr import KIND_GATE, KIND_PI, CompiledCircuit
-from repro.kernel.dinic import INF, DinicNetwork
-
-if TYPE_CHECKING:
-    from repro.comb.maxflow import FlowNetwork
 
 
 @dataclass
@@ -171,43 +159,10 @@ def expand_partial_packed(
     return result
 
 
-class PackedCutArena:
-    """Scratch arena for packed cut queries: one flow network, reused.
-
-    Only queries whose expansion has candidate copies touch it.
-    ``flow`` selects the max-flow engine: ``"dinic"`` (the flat-array
-    level-graph solver, the default) or ``"ek"`` (the Edmonds-Karp
-    engine of :class:`repro.comb.maxflow.FlowNetwork`, retained for
-    differential testing).  The copy-to-flow-node index map is a plain
-    ``int -> int`` dict recycled across queries.
-    """
-
-    def __init__(self, flow: str = "dinic") -> None:
-        self.net: "Union[DinicNetwork, FlowNetwork]"
-        if flow == "dinic":
-            self.net = DinicNetwork()
-        elif flow == "ek":
-            from repro.comb.maxflow import FlowNetwork
-
-            self.net = FlowNetwork()
-        else:
-            raise ValueError(
-                f"unknown flow engine {flow!r}; valid engines: dinic, ek"
-            )
-        self.flow = flow
-        self._index: Dict[int, int] = {}
-
-    def drain_counters(self) -> "tuple[int, int]":
-        """Per-query ``(phases, arcs_advanced)`` of a Dinic backend."""
-        if isinstance(self.net, DinicNetwork):
-            return self.net.drain_counters()
-        return (0, 0)
-
-
 def cut_on_packed(
     expansion: PackedExpansion,
     max_cut: int,
-    arena: Optional[PackedCutArena] = None,
+    net: Optional[FlowNetwork] = None,
 ) -> Optional[List[int]]:
     """Bounded-flow cut query on a packed expansion.
 
@@ -216,8 +171,9 @@ def cut_on_packed(
     or ``None`` when the expansion is blocked or every cut needs
     more than ``max_cut`` nodes.  Without candidate copies the answer
     is the leaf set itself (see the module docstring) and no network is
-    built.  Otherwise the flow runs on ``arena``, a caller-owned
-    :class:`PackedCutArena`, or on a fresh one when it is ``None``.
+    built.  Otherwise the flow runs on ``net``, a caller-owned
+    :class:`~repro.comb.maxflow.FlowNetwork` that is reset first, or on
+    a fresh one when it is ``None``.
     """
     if expansion.blocked:
         return None
@@ -232,12 +188,10 @@ def cut_on_packed(
         if len(leaves) > max_cut:
             return None
         return sorted(leaves, key=lambda p: (p & mask, p >> shift))
-    if arena is None:
-        arena = PackedCutArena()
-    net = arena.net
+    if net is None:
+        net = FlowNetwork()
     net.reset()
-    index = arena._index
-    index.clear()
+    index: Dict[int, int] = {}
     source = net.add_node()
     sink = net.add_node()
     # Node-split construction: copy j gets

@@ -13,9 +13,8 @@ Compares every ``(circuit, algorithm)`` run present in *both* reports:
 * **seconds** — noisy across machines, so by default a slowdown beyond
   the tolerance is only *warned* about; pass ``--time-tolerance`` to turn
   the time comparison into a hard gate (e.g. on a dedicated perf host);
-* **counters** — ``stats.flow_queries``, ``stats.updates``,
-  ``stats.dinic_phases`` and ``stats.arcs_advanced`` are *deterministic*
-  work measures (unlike wall clock), so a growth beyond
+* **counters** — ``stats.flow_queries``, ``stats.updates`` and
+  ``stats.flow_solves`` are *deterministic* work measures (unlike wall clock), so a growth beyond
   ``--counter-tolerance`` (default 10%) is a hard fail; the schema-8
   persistent-cache counters (``outcome_cache_hits``,
   ``cache_probes_skipped``, ``cache_seeds``) join them, gated in the
@@ -81,8 +80,7 @@ def _index(report: dict) -> Dict[RunKey, dict]:
 GATED_COUNTERS = (
     "flow_queries",
     "updates",
-    "dinic_phases",
-    "arcs_advanced",
+    "flow_solves",
     "outcome_cache_hits",
     "cache_probes_skipped",
     "cache_seeds",
@@ -284,8 +282,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=0.10,
         help="relative slack for the deterministic work counters "
-        "(stats.flow_queries, stats.updates, stats.dinic_phases, "
-        "stats.arcs_advanced; default 0.10); hard gate only when both "
+        "(stats.flow_queries, stats.updates, stats.flow_solves; "
+        "default 0.10); hard gate only when both "
         "reports declare the same warm_start setting and the runs "
         "the same worker count",
     )

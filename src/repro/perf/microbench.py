@@ -5,26 +5,24 @@ Usage::
     python -m repro.perf.microbench --circuits bbara dk16 \
         --out benchmarks/results
 
-Times the hot kernel stages per flow engine using the deterministic
-``LabelStats`` telemetry the solver already collects.  The label runs
-use ``extra_depth=1`` (:data:`EXTRA_DEPTH`): at the production setting
-``extra_depth=0`` every cut query is a leaf count and no flow engine
-runs, so only the deeper expansions still exercise the engines:
+Times the hot kernel stages of one label run per circuit, using the
+deterministic ``LabelStats`` telemetry the solver already collects.  The
+label runs use ``extra_depth=1`` (:data:`EXTRA_DEPTH`): at the
+production setting ``extra_depth=0`` every cut query is a leaf count and
+no max-flow runs, so only the deeper expansions still exercise it:
 
-* **flow** — aggregate min-cut solve time (``stats.t_flow``) and query
-  count per flow engine (``dinic`` vs ``ek``) on an identical label
-  workload, plus the Dinic work counters (``dinic_phases``,
-  ``arcs_advanced``);
+* **flow** — aggregate cut-query time (``stats.t_flow``), the query
+  count and ``flow_solves``, the queries that ran a max-flow;
 * **expansion** — partial-expansion time (``stats.t_expand``) on the
   compiled CSR kernel;
 * **handoff** — startup bytes a parallel phi probe ships per worker:
   the pickled stripped circuit, the raw CSR blob, and the pickled
   :class:`~repro.kernel.share.CsrHandle` for each transport.
 
-Every configuration runs the same ``(circuit, k, phi)`` label queries
-(phi fixed at each circuit's known optimum via a reference run), and the
-resulting labels are asserted identical across the whole matrix — a
-configuration that diverged would make its timings meaningless.
+Every repeat runs the same ``(circuit, k, phi)`` label query (phi fixed
+at each circuit's smallest feasible period at this depth), and the
+repeats' labels are asserted identical — a run that diverged would make
+the timings meaningless.
 
 Results go to stdout as a table and to ``BENCH_microbench.json``
 (``bench-table`` schema, like the pytest-benchmark tables in
@@ -45,29 +43,24 @@ from repro.core.labels import LabelSolver
 from repro.perf.report import SCHEMA_VERSION
 from repro.resilience.atomic import atomic_write_json
 
-#: Flow engines timed by :func:`bench_circuit` on the compiled kernel —
-#: the reference (the test oracle) first, the production path last.
-#: Each cell is reported as ``"<flow>+compiled"``.
-FLOWS = ("ek", "dinic")
-
 #: Expansion depth of every label run: the shallowest setting whose
 #: expansions have candidate copies, i.e. whose cut queries run a flow.
 EXTRA_DEPTH = 1
 
+#: Row name of the timed label run in ``BENCH_microbench.json``.
+CELL = "labels"
 
-def _solve(circuit, k: int, phi: int, flow: str):
+
+def _solve(circuit, k: int, phi: int):
     """One label run at fixed phi; returns the outcome (timed stats)."""
-    return LabelSolver(
-        circuit, k, phi, extra_depth=EXTRA_DEPTH, flow=flow
-    ).run()
+    return LabelSolver(circuit, k, phi, extra_depth=EXTRA_DEPTH).run()
 
 
 def _find_phi(circuit, k: int) -> int:
-    """The smallest feasible phi, via a linear scan with the reference
-    flow (the workload every matrix cell then replays)."""
+    """The smallest feasible phi, via a linear scan."""
     phi = 1
     while True:
-        if _solve(circuit, k, phi, "ek").feasible:
+        if _solve(circuit, k, phi).feasible:
             return phi
         phi += 1
 
@@ -97,54 +90,47 @@ def bench_circuit(
     phi: Optional[int] = None,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Benchmark one circuit across the flow-engine matrix.
+    """Benchmark one circuit's label run.
 
-    Returns one row dict per matrix cell (timings are the best of
-    ``repeats`` runs — microbenchmarks gate on minima, not means, to
-    shed scheduler noise) plus the handoff byte counts.
+    Returns the timed sample (the best of ``repeats`` runs —
+    microbenchmarks gate on minima, not means, to shed scheduler noise)
+    plus the handoff byte counts.
     """
     if phi is None:
         phi = _find_phi(circuit, k)
     reference: Optional[List[int]] = None
-    cells: Dict[str, Dict[str, Any]] = {}
-    for flow in FLOWS:
-        best: Optional[Dict[str, Any]] = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            outcome = _solve(circuit, k, phi, flow)
-            wall = time.perf_counter() - t0
-            if not outcome.feasible:
-                raise RuntimeError(
-                    f"{circuit.name}: phi={phi} infeasible under flow={flow}"
-                )
-            if reference is None:
-                reference = outcome.labels
-            elif outcome.labels != reference:
-                raise RuntimeError(
-                    f"{circuit.name}: labels diverged under "
-                    f"flow={flow} — timings meaningless"
-                )
-            stats = outcome.stats
-            sample = {
-                "t_total": wall,
-                "t_flow": stats.t_flow,
-                "t_expand": stats.t_expand,
-                "flow_queries": stats.flow_queries,
-                "dinic_phases": stats.dinic_phases,
-                "arcs_advanced": stats.arcs_advanced,
-            }
-            if best is None or sample["t_total"] < best["t_total"]:
-                best = sample
-        assert best is not None
-        queries = best["flow_queries"] or 1
-        best["us_per_query"] = 1e6 * best["t_flow"] / queries
-        cells[f"{flow}+compiled"] = best
+    best: Optional[Dict[str, Any]] = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        outcome = _solve(circuit, k, phi)
+        wall = time.perf_counter() - t0
+        if not outcome.feasible:
+            raise RuntimeError(f"{circuit.name}: phi={phi} infeasible")
+        if reference is None:
+            reference = outcome.labels
+        elif outcome.labels != reference:
+            raise RuntimeError(
+                f"{circuit.name}: labels diverged between repeats — "
+                "timings meaningless"
+            )
+        stats = outcome.stats
+        sample = {
+            "t_total": wall,
+            "t_flow": stats.t_flow,
+            "t_expand": stats.t_expand,
+            "flow_queries": stats.flow_queries,
+            "flow_solves": stats.flow_solves,
+        }
+        if best is None or sample["t_total"] < best["t_total"]:
+            best = sample
+    assert best is not None
+    best["us_per_query"] = 1e6 * best["t_flow"] / (best["flow_queries"] or 1)
     return {
         "circuit": circuit.name,
         "k": k,
         "phi": phi,
         "extra_depth": EXTRA_DEPTH,
-        "cells": cells,
+        CELL: best,
         "handoff": handoff_bytes(circuit),
     }
 
@@ -153,13 +139,11 @@ def as_table(results: List[Dict[str, Any]]) -> dict:
     """The ``BENCH_microbench.json`` payload (bench-table schema)."""
     rows: Dict[str, Dict[str, Any]] = {}
     for res in results:
-        for cell, sample in res["cells"].items():
-            row = dict(sample)
-            row["phi"] = res["phi"]
-            row["extra_depth"] = res["extra_depth"]
-            rows[f"{res['circuit']}/{cell}"] = row
-        for strategy, size in res["handoff"].items():
-            rows.setdefault(f"{res['circuit']}/handoff", {})[strategy] = size
+        row = dict(res[CELL])
+        row["phi"] = res["phi"]
+        row["extra_depth"] = res["extra_depth"]
+        rows[f"{res['circuit']}/{CELL}"] = row
+        rows[f"{res['circuit']}/handoff"] = dict(res["handoff"])
     return {
         "schema": SCHEMA_VERSION,
         "kind": "bench-table",
@@ -171,23 +155,23 @@ def as_table(results: List[Dict[str, Any]]) -> dict:
 def render(results: List[Dict[str, Any]]) -> str:
     lines = ["== kernel microbench =="]
     header = (
-        f"{'circuit/config':<24s} | {'t_flow':>9s} | {'t_expand':>9s} | "
-        f"{'queries':>8s} | {'us/query':>9s} | {'phases':>7s}"
+        f"{'circuit':<16s} | {'t_flow':>9s} | {'t_expand':>9s} | "
+        f"{'queries':>8s} | {'us/query':>9s} | {'solves':>7s}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for res in results:
-        for cell, s in res["cells"].items():
-            lines.append(
-                f"{res['circuit'] + '/' + cell:<24s} | "
-                f"{s['t_flow']:>8.4f}s | {s['t_expand']:>8.4f}s | "
-                f"{s['flow_queries']:>8d} | {s['us_per_query']:>9.1f} | "
-                f"{s['dinic_phases']:>7d}"
-            )
+        s = res[CELL]
+        lines.append(
+            f"{res['circuit']:<16s} | "
+            f"{s['t_flow']:>8.4f}s | {s['t_expand']:>8.4f}s | "
+            f"{s['flow_queries']:>8d} | {s['us_per_query']:>9.1f} | "
+            f"{s['flow_solves']:>7d}"
+        )
         parts = ", ".join(
             f"{name}={size}" for name, size in res["handoff"].items()
         )
-        lines.append(f"{res['circuit'] + '/handoff':<24s} | {parts} bytes")
+        lines.append(f"{res['circuit'] + '/handoff':<16s} | {parts} bytes")
     return "\n".join(lines)
 
 
@@ -196,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.microbench",
-        description="time the kernel flow engines on suite circuits",
+        description="time the label kernels on suite circuits",
     )
     parser.add_argument(
         "--circuits",
@@ -210,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="runs per matrix cell; best-of is reported (default 3)",
+        help="runs per circuit; best-of is reported (default 3)",
     )
     parser.add_argument(
         "--out",

@@ -1,10 +1,10 @@
 """JSON run reports: the machine-readable perf/quality telemetry schema.
 
-Schema (version 9) — one *suite report* wraps any number of *mapper
+Schema (version 10) — one *suite report* wraps any number of *mapper
 runs* plus the structured *errors* of cells that failed::
 
     {
-      "schema": 9,
+      "schema": 10,
       "kind": "suite",                 # or "map" for a single-run report
       "python": "3.11.7", "platform": "Linux-...",
       "k": 5, "workers": 1,
@@ -55,7 +55,8 @@ runs* plus the structured *errors* of cells that failed::
             "resyn_calls": ..., "resyn_wins": ...,
             "warm_seeded": ..., "warm_savings": ...,
             "expansions_reused": ...,
-            "dinic_phases": ..., "arcs_advanced": ...,
+            "flow_solves": ...,        # v10: cut queries that ran a
+                                       # max-flow (0 at extra_depth=0)
             "outcome_cache_hits": ..., # v8: persistent-cache telemetry —
             "cache_probes_skipped": ...,  # probes adopted from / skipped
             "cache_seeds": ...,        # via repro.cache, and probes the
@@ -75,9 +76,12 @@ runs* plus the structured *errors* of cells that failed::
 
 Version 9 dropped the ``engine`` / ``flow`` / ``kernel`` envelope
 fields (production has one label path) and the vector-kernel batch
-counters from ``stats``.  :func:`load_report` reads versions 8 and 9
-(a version-8 report's extra fields are simply ignored) and rejects
-anything older with a ``ValueError`` naming its schema.
+counters from ``stats``.  Version 10 replaced the two work counters of
+the retired Dinic engine with the engine-neutral ``flow_solves`` (one
+max-flow engine is left).  :func:`load_report`
+reads versions 8 to 10 (an older report's extra fields are simply
+ignored) and rejects anything older with a ``ValueError`` naming its
+schema.
 
 ``benchmarks/baseline.json`` is a committed suite report; CI regenerates
 a fresh one and gates on :mod:`repro.perf.check`.  The pytest-benchmark
@@ -97,7 +101,7 @@ from typing import IO, Dict, List, Optional, Union
 
 from repro.resilience.atomic import atomic_write_json
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: Oldest schema :func:`load_report` reads.
 MIN_SCHEMA_VERSION = 8
@@ -252,7 +256,7 @@ def write_report(report: dict, path_or_file: Union[str, IO[str]]) -> None:
 
 
 def load_report(path: str) -> dict:
-    """Read a schema 8 or 9 report (or a bare run list)."""
+    """Read a schema 8 to 10 report (or a bare run list)."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, list):  # bare run list

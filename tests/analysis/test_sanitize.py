@@ -20,7 +20,7 @@ from repro.analysis.sanitize import (
 from repro.core.turbomap import turbomap
 from tests.helpers import random_seq_circuit
 
-SAN_IDS = ["SAN001", "SAN002", "SAN003", "SAN004", "SAN005", "SAN006"]
+SAN_IDS = ["SAN001", "SAN002", "SAN003", "SAN004", "SAN006"]
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +106,25 @@ class TestNoInterference:
         assert armed.phi == plain.phi
         for phi in plain.outcomes:
             assert armed.outcomes[phi].labels == plain.outcomes[phi].labels
+
+    def test_flow_baselines_run_armed(self):
+        # FlowMap and FlowSYN build their networks on the one max-flow
+        # engine, so an armed run checks SAN003/SAN004 on every cut.
+        from repro.comb.flowmap import flowmap
+        from repro.comb.flowsyn import flowsyn
+        from repro.comb.maxflow import SplitNetwork
+        from repro.core.flowsyn_s import split_at_registers
+
+        comb = split_at_registers(
+            random_seq_circuit(4, 30, seed=5, name="san-comb")
+        )
+        plain = [flowmap(comb, 4), flowsyn(comb, 4)]
+        enable(True)
+        assert SplitNetwork().net._san is not None
+        armed = [flowmap(comb, 4), flowsyn(comb, 4)]
+        for before, after in zip(plain, armed):
+            assert after.depth == before.depth
+            assert after.cuts == before.cuts
 
 
 class TestCli:

@@ -1,7 +1,8 @@
 """Tests for flow-based height-constrained K-cuts on expanded circuits."""
 
+from repro.comb.maxflow import FlowNetwork
 from repro.core.kcut import cut_on_expansion, find_height_cut
-from repro.kernel.expand import PackedCutArena, expand_partial_packed
+from repro.kernel.expand import expand_partial_packed
 from repro.netlist.graph import SeqCircuit
 from tests.helpers import AND2, BUF
 
@@ -123,12 +124,14 @@ class TestCutOnExpansion:
     def test_arena_reuse_matches_fresh_network(self):
         c, xs, g = and_ring(6)
         labels = label_list(c, {g[i]: 1 + (i % 3) for i in range(6)})
-        arena = PackedCutArena()
+        net = FlowNetwork()
         for root in g:
             for threshold in (1, 2, 3):
-                exp = expand_partial_packed(
-                    c.compiled(), root, 2, labels, threshold
-                )
-                fresh = cut_on_expansion(exp, 15)
-                pooled = cut_on_expansion(exp, 15, arena=arena)
-                assert fresh == pooled, (c.name_of(root), threshold)
+                for extra_depth in (0, 1):
+                    exp = expand_partial_packed(
+                        c.compiled(), root, 2, labels, threshold, extra_depth
+                    )
+                    fresh = cut_on_expansion(exp, 15)
+                    pooled = cut_on_expansion(exp, 15, net=net)
+                    assert fresh == pooled, (c.name_of(root), threshold)
+        assert net.num_nodes > 0  # the deeper queries ran a flow on it

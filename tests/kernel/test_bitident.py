@@ -1,10 +1,10 @@
 """End-to-end bit-identity across the label-path oracles.
 
 The acceptance bar of the kernel layer: the production path (worklist
-engine, Dinic flow) must produce byte-for-byte the same labels, phi,
-and mappings as the paper's path (round-robin engine, Edmonds-Karp
-flow, kept as test oracles), with identical deterministic work counters
-where the engines share them.
+engine) must produce byte-for-byte the same labels, phi, and mappings
+as the paper's path (round-robin engine, kept as a test oracle) at
+K=5.  Cut queries without candidate copies are leaf counts; the rest
+run the one max-flow engine, and ``flow_solves`` counts them.
 """
 
 import pytest
@@ -20,14 +20,14 @@ from repro.core.seqdecomp import DEFAULT_CMAX
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
 
-FLOWS = ["ek", "dinic"]
+ENGINES = ["worklist", "rounds"]
 
 
 def _min_phi(circuit, k=5, extra_depth=0):
     phi = 1
     while True:
         outcome = LabelSolver(
-            circuit, k, phi, extra_depth=extra_depth, flow="ek"
+            circuit, k, phi, extra_depth=extra_depth
         ).run()
         if outcome.feasible:
             return phi
@@ -40,20 +40,21 @@ class TestLabelIdentity:
         circuit = bench_suite.build(name)
         k = 5
         phi = _min_phi(circuit, k)
-        reference = None
-        for flow in FLOWS:
-            outcome = LabelSolver(circuit, k, phi, flow=flow).run()
-            assert outcome.feasible
-            if reference is None:
-                reference = outcome
-                continue
-            tag = flow
-            assert outcome.labels == reference.labels, tag
-            # The memo/guard logic is shared across flows, so the
-            # engine-independent work counters must match exactly.
-            assert outcome.stats.flow_queries == reference.stats.flow_queries, tag
-            assert outcome.stats.cache_hits == reference.stats.cache_hits, tag
-            assert outcome.stats.updates == reference.stats.updates, tag
+        outcomes = {
+            engine: LabelSolver(circuit, k, phi, engine=engine).run()
+            for engine in ENGINES
+        }
+        for engine, outcome in outcomes.items():
+            assert outcome.feasible, engine
+            assert outcome.labels == outcomes["worklist"].labels, engine
+        # A repeated production run is deterministic to the counter.
+        again = LabelSolver(circuit, k, phi).run()
+        first = outcomes["worklist"].stats
+        assert again.labels == outcomes["worklist"].labels
+        assert again.stats.flow_queries == first.flow_queries
+        assert again.stats.cache_hits == first.cache_hits
+        assert again.stats.updates == first.updates
+        assert again.stats.flow_solves == first.flow_solves
 
     def test_infeasible_phi_agrees(self):
         circuit = bench_suite.build("bbara")
@@ -61,62 +62,52 @@ class TestLabelIdentity:
         phi = _min_phi(circuit, k)
         if phi == 1:
             pytest.skip("already feasible at phi=1")
-        for flow in FLOWS:
-            outcome = LabelSolver(circuit, k, phi - 1, flow=flow).run()
-            assert not outcome.feasible, flow
+        for engine in ENGINES:
+            outcome = LabelSolver(circuit, k, phi - 1, engine=engine).run()
+            assert not outcome.feasible, engine
 
-    def test_dinic_counters_populate_only_under_dinic(self):
+    def test_flow_solves_count_only_flow_queries(self):
         # Only expansions with candidate copies run a flow, and only
         # extra_depth >= 1 produces candidates.
         circuit = bench_suite.build("bbara")
         phi = _min_phi(circuit, extra_depth=1)
-        dinic = LabelSolver(
-            circuit, 5, phi, extra_depth=1, flow="dinic"
-        ).run()
-        ek = LabelSolver(circuit, 5, phi, extra_depth=1, flow="ek").run()
-        assert dinic.stats.dinic_phases > 0
-        assert dinic.stats.arcs_advanced > 0
-        assert ek.stats.dinic_phases == 0
-        assert ek.stats.arcs_advanced == 0
+        deep = LabelSolver(circuit, 5, phi, extra_depth=1).run()
+        assert 0 < deep.stats.flow_solves <= deep.stats.flow_queries
+        shallow = LabelSolver(circuit, 5, phi).run()
+        assert shallow.stats.flow_solves == 0
 
     def test_frontier_queries_run_no_flow(self):
         """At the default extra_depth=0 every cut query is a leaf count:
-        neither flow engine runs, and the shared counters agree."""
+        no max-flow runs under either engine."""
         circuit = bench_suite.build("bbara")
         phi = _min_phi(circuit)
-        dinic = LabelSolver(circuit, 5, phi, flow="dinic").run()
-        ek = LabelSolver(circuit, 5, phi, flow="ek").run()
-        for outcome in (dinic, ek):
-            assert outcome.stats.flow_queries > 0
-            assert outcome.stats.dinic_phases == 0
-            assert outcome.stats.arcs_advanced == 0
-        assert dinic.stats.flow_queries == ek.stats.flow_queries
-        assert dinic.stats.updates == ek.stats.updates
-        assert dinic.stats.cache_hits == ek.stats.cache_hits
+        for engine in ENGINES:
+            outcome = LabelSolver(circuit, 5, phi, engine=engine).run()
+            assert outcome.stats.flow_queries > 0, engine
+            assert outcome.stats.flow_solves == 0, engine
         stats = turbosyn(bench_suite.build("bbara"), 5, check=False).total_stats
         assert stats.flow_queries > 0
-        assert stats.dinic_phases == 0
-        assert stats.arcs_advanced == 0
+        assert stats.flow_solves == 0
 
     def test_engines_validate_arguments(self):
         circuit = bench_suite.build("bbara")
-        with pytest.raises(ValueError, match="flow"):
-            LabelSolver(circuit, 5, 3, flow="bogus")
         with pytest.raises(ValueError, match="engine"):
             LabelSolver(circuit, 5, 3, engine="bogus")
-        # One expansion implementation: no kernel selector at all.
+        # One expansion and one max-flow engine: no kernel or flow
+        # selector at all.
         with pytest.raises(TypeError, match="kernel"):
             LabelSolver(circuit, 5, 3, kernel="compiled")
+        with pytest.raises(TypeError, match="flow"):
+            LabelSolver(circuit, 5, 3, flow="ek")
 
 
 class TestFullMatrixIdentity:
-    """2 engines x 2 flows: every combination bit-identical.
+    """2 engines x 2 expansion depths: labels bit-identical per depth.
 
-    Labels (and phi feasibility) are identical across the *whole*
-    matrix; the deterministic work counters are identical within each
-    label engine (worklist and rounds schedule different update
-    sequences, so their counters differ from each other by design —
-    but not across flows).
+    At ``extra_depth=1`` some cut queries run a max-flow, at 0 none do.
+    The work counters differ between the engines by design (worklist
+    and rounds schedule different update sequences), but the labels
+    and the feasibility verdict do not.
     """
 
     @pytest.mark.parametrize("name", ["bbara", "dk16"])
@@ -124,34 +115,26 @@ class TestFullMatrixIdentity:
         circuit = bench_suite.build(name)
         k = 5
         phi = _min_phi(circuit, k)
-        reference = None
-        for engine in ("worklist", "rounds"):
-            engine_ref = None
-            for flow in ("dinic", "ek"):
-                tag = f"{engine}/{flow}"
-                outcome = LabelSolver(
-                    circuit, k, phi, engine=engine, flow=flow
+        for extra_depth in (0, 1):
+            outcomes = [
+                LabelSolver(
+                    circuit, k, phi, engine=engine, extra_depth=extra_depth
                 ).run()
-                assert outcome.feasible, tag
-                if reference is None:
-                    reference = outcome
-                assert outcome.labels == reference.labels, tag
-                if engine_ref is None:
-                    engine_ref = outcome
-                    continue
-                ref = engine_ref.stats
-                stats = outcome.stats
-                assert stats.rounds == ref.rounds, tag
-                assert stats.updates == ref.updates, tag
-                assert stats.flow_queries == ref.flow_queries, tag
-                assert stats.cache_hits == ref.cache_hits, tag
-                assert stats.pld_checks == ref.pld_checks, tag
+                for engine in ENGINES
+            ]
+            tag = f"extra_depth={extra_depth}"
+            assert outcomes[0].feasible == outcomes[1].feasible, tag
+            assert outcomes[0].labels == outcomes[1].labels, tag
+            for outcome in outcomes:
+                assert (outcome.stats.flow_solves > 0) == (
+                    extra_depth == 1
+                ), tag
 
 
 def _oracle_search(circuit, upper_bound, resynthesize):
-    """The phi search on the paper's path: rounds engine, EK."""
+    """The phi search on the paper's path: the rounds engine."""
     phi, outcomes = search_min_phi(
-        circuit, 5, upper_bound, resynthesize, engine="rounds", flow="ek"
+        circuit, 5, upper_bound, resynthesize, engine="rounds"
     )
     return phi, outcomes[phi].labels
 
@@ -180,13 +163,13 @@ class TestMapperIdentity:
         hook = make_resyn_hook(DEFAULT_CMAX)
         at = LabelSolver(
             circuit, 5, phi, resyn_hook=hook,
-            engine="rounds", flow="ek",
+            engine="rounds",
         ).run()
         assert at.feasible
         assert at.labels == list(labels)
         if phi > 1:
             below = LabelSolver(
                 circuit, 5, phi - 1, resyn_hook=hook,
-                engine="rounds", flow="ek",
+                engine="rounds",
             ).run()
             assert not below.feasible

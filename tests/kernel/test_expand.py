@@ -8,8 +8,8 @@ arrays) with the paper's tier rules, and a tuple-keyed node-split
 — a separate flow-network construction from ``cut_on_packed``'s
 flat-array one.  The reference runs the flow on every query, so it also
 checks ``cut_on_packed``'s leaf-count answer for expansions without
-candidate copies.  The EK and Dinic arenas are also checked against
-each other on every bbara gate.
+candidate copies.  ``tests/comb/test_maxflow_oracle.py`` checks the
+same cuts against a brute-force minimum vertex cut.
 """
 
 import pytest
@@ -17,15 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import suite as bench_suite
-from repro.comb.maxflow import SplitNetwork
+from repro.comb.maxflow import FlowNetwork, SplitNetwork
 from repro.core.expanded import ExpansionOverflow
 from repro.core.labels import LabelSolver
 from repro.kernel.csr import KIND_GATE
-from repro.kernel.expand import (
-    PackedCutArena,
-    cut_on_packed,
-    expand_partial_packed,
-)
+from repro.kernel.expand import cut_on_packed, expand_partial_packed
 from repro.netlist.graph import NodeKind
 from tests.helpers import random_seq_circuit
 
@@ -34,9 +30,7 @@ def _min_phi_labels(circuit, k=5, extra_depth=0):
     """The smallest feasible phi of ``circuit`` and its labels."""
     phi = 1
     while True:
-        outcome = LabelSolver(
-            circuit, k, phi, extra_depth=extra_depth, flow="ek"
-        ).run()
+        outcome = LabelSolver(circuit, k, phi, extra_depth=extra_depth).run()
         if outcome.feasible:
             return phi, outcome.labels
         phi += 1
@@ -92,7 +86,7 @@ def _reference_expansion(
     return by_tier, edges
 
 
-def _reference_cut(expansion, max_cut, flow="ek"):
+def _reference_cut(expansion, max_cut):
     """Min-cut of a packed expansion on a tuple-keyed SplitNetwork."""
     if expansion.blocked:
         return None
@@ -102,7 +96,7 @@ def _reference_cut(expansion, max_cut, flow="ek"):
     pairs = expansion.unpack_copies(expansion.edges)
     if not candidates and not leaves:
         return []
-    net = SplitNetwork(flow=flow)
+    net = SplitNetwork()
     for copy in interior:
         net.add_dag_node(copy, cuttable=False)
         net.attach_sink(copy)
@@ -185,42 +179,24 @@ class TestExpansionDifferential:
 
 
 class TestCutDifferential:
-    @pytest.mark.parametrize("flow", ["dinic", "ek"])
-    def test_cuts_match_object_engine(self, solved_bbara, flow):
-        """Packed cuts equal the SplitNetwork reference on every gate."""
+    def test_cuts_match_object_engine(self, solved_bbara):
+        """Packed cuts equal the SplitNetwork reference on every gate,
+        on a reused caller-owned network."""
         circuit, phi, labels = solved_bbara
         cc = circuit.compiled()
         k = 5
-        arena = PackedCutArena(flow=flow)
+        net = FlowNetwork()
         compared = 0
         for v in circuit.gates:
-            packed = expand_partial_packed(cc, v, phi, labels, labels[v])
+            packed = expand_partial_packed(cc, v, phi, labels, labels[v], 1)
             ref_cut = _reference_cut(packed, k)
-            packed_cut = cut_on_packed(packed, k, arena=arena)
+            packed_cut = cut_on_packed(packed, k, net)
             if packed_cut is None:
                 assert ref_cut is None
             else:
                 assert packed.unpack_copies(packed_cut) == ref_cut
                 compared += 1
         assert compared > 0
-
-    @pytest.mark.parametrize("extra_depth", [0, 1])
-    def test_ek_matches_dinic_on_every_gate(self, solved_bbara, extra_depth):
-        """The two flow arenas return the same cut on every bbara gate,
-        at the label threshold and one level below it."""
-        circuit, phi, labels = solved_bbara
-        cc = circuit.compiled()
-        ek = PackedCutArena(flow="ek")
-        dinic = PackedCutArena(flow="dinic")
-        for v in circuit.gates:
-            for threshold in (labels[v], labels[v] - 1):
-                packed = expand_partial_packed(
-                    cc, v, phi, labels, threshold, extra_depth
-                )
-                for max_cut in (2, 5, 15):
-                    assert cut_on_packed(packed, max_cut, ek) == cut_on_packed(
-                        packed, max_cut, dinic
-                    ), (circuit.name_of(v), threshold, max_cut)
 
     def test_limit_agreement(self, solved_bbara):
         """Tight max_cut: packed and reference agree on None-vs-cut, and
@@ -230,20 +206,27 @@ class TestCutDifferential:
         for max_cut in (1, 2):
             for v in circuit.gates[:40]:
                 packed = expand_partial_packed(cc, v, phi, labels, labels[v])
-                ref_cut = _reference_cut(packed, max_cut, flow="dinic")
+                ref_cut = _reference_cut(packed, max_cut)
                 packed_cut = cut_on_packed(packed, max_cut)
                 if ref_cut is None:
                     assert packed_cut is None
                 else:
                     assert packed.unpack_copies(packed_cut) == ref_cut
 
-    def test_bad_flow_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown flow engine"):
-            PackedCutArena(flow="bogus")
+    def test_bad_flow_engine_rejected(self, solved_bbara):
+        """One max-flow engine: the kernel has no engine selector left,
+        so any flow engine argument is rejected."""
+        import repro.kernel
 
-    def test_ek_arena_counters_are_zero(self):
-        arena = PackedCutArena(flow="ek")
-        assert arena.drain_counters() == (0, 0)
+        circuit, phi, labels = solved_bbara
+        v = circuit.gates[0]
+        packed = expand_partial_packed(
+            circuit.compiled(), v, phi, labels, labels[v], 1
+        )
+        with pytest.raises(TypeError, match="flow"):
+            cut_on_packed(packed, 5, flow="ek")
+        assert "PackedCutArena" not in repro.kernel.__all__
+        assert "DinicNetwork" not in repro.kernel.__all__
 
     def test_gate_kind_codes_agree(self, solved_bbara):
         circuit, _, _ = solved_bbara
@@ -318,12 +301,12 @@ class TestLeafOnlyShortcut:
     ):
         circuit, phi, labels = solved_bbara
         cc = circuit.compiled()
-        arena = PackedCutArena(flow="dinic")
+        net = FlowNetwork()
 
-        def no_arena(*args, **kwargs):
+        def no_network(*args, **kwargs):
             raise AssertionError("a leaf-only query built a flow network")
 
-        monkeypatch.setattr("repro.kernel.expand.PackedCutArena", no_arena)
+        monkeypatch.setattr("repro.kernel.expand.FlowNetwork", no_network)
         answered = 0
         for v in circuit.gates:
             for threshold in (labels[v], labels[v] - 1):
@@ -331,8 +314,7 @@ class TestLeafOnlyShortcut:
                 assert not packed.candidates
                 for max_cut in (2, 5):
                     cut_on_packed(packed, max_cut)
-                    cut_on_packed(packed, max_cut, arena)
+                    cut_on_packed(packed, max_cut, net)
                     answered += 1
         assert answered > 0
-        assert arena.drain_counters() == (0, 0)
-        assert arena.net.num_nodes == 0
+        assert net.num_nodes == 0

@@ -250,25 +250,29 @@ class TestCounterGate:
         assert comparison.ok
         assert any("not comparable" in w for w in comparison.warnings)
 
-    def test_dinic_counters_gated(self):
+    def test_flow_solves_gated(self):
         base = _report([_run(workers=1)], warm_start=True)
         cur = _report([_run(workers=1)], warm_start=True)
-        base["runs"][0]["stats"] = {"dinic_phases": 100, "arcs_advanced": 1000}
-        cur["runs"][0]["stats"] = {"dinic_phases": 200, "arcs_advanced": 1000}
+        base["runs"][0]["stats"] = {"flow_solves": 100}
+        cur["runs"][0]["stats"] = {"flow_solves": 200}
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert not comparison.ok
         assert any(
-            "dinic_phases regressed" in r for r in comparison.regressions
+            "flow_solves regressed" in r for r in comparison.regressions
         )
 
     def test_ek_baseline_zero_dinic_counters_skipped(self):
-        # An EK baseline reports dinic_phases=0; a zero baseline counter
-        # is never gated (no meaningful ratio).
+        # The retired Dinic counters of a schema-9 report are not gated
+        # at all: zero or not, growth or not, they never fail the check.
         base, cur = self._pair(100, 100)
         base["runs"][0]["stats"]["dinic_phases"] = 0
         cur["runs"][0]["stats"]["dinic_phases"] = 500
+        base["runs"][0]["stats"]["arcs_advanced"] = 10
+        cur["runs"][0]["stats"]["arcs_advanced"] = 5000
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert comparison.ok
+        assert "dinic_phases" not in perf_check.GATED_COUNTERS
+        assert "arcs_advanced" not in perf_check.GATED_COUNTERS
 
     def _assert_v8_field_ignored(self, field, value):
         # Schema-8 envelopes still declare engine/flow/kernel; the gate

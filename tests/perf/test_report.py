@@ -76,7 +76,7 @@ class TestSuiteReport:
         # Production has one label path: warm_start is the only search
         # option the envelope declares.
         report = perf_report.suite_report([], k=3)
-        assert report["schema"] == 9
+        assert report["schema"] == 10
         assert report["warm_start"] is True
         for retired in ("engine", "flow", "kernel"):
             assert retired not in report
@@ -88,6 +88,14 @@ class TestSuiteReport:
         stats = perf_report.mapper_run(result, circuit)["stats"]
         # No counter of the removed vector-kernel batching.
         assert not [k for k in stats if "batch" in k or "prefilter" in k]
+
+    def test_stats_carry_one_flow_counter(self):
+        circuit, result = _result()
+        stats = perf_report.mapper_run(result, circuit)["stats"]
+        # One engine-neutral max-flow counter; the Dinic counters are gone.
+        assert stats["flow_solves"] == 0
+        assert "dinic_phases" not in stats
+        assert "arcs_advanced" not in stats
 
     def test_stats_carry_warm_start_counters(self):
         circuit, result = _result()
@@ -123,6 +131,20 @@ class TestSuiteReport:
         loaded = perf_report.load_report(str(path))
         assert loaded["schema"] == 8
         assert loaded["warm_start"] is True
+
+    def test_load_reads_schema_nine_with_dinic_counters(self, tmp_path):
+        # A schema-9 report still carries the retired Dinic counters;
+        # it loads unchanged, and perf.check simply skips them.
+        path = tmp_path / "v9.json"
+        path.write_text(
+            '{"schema": 9, "kind": "suite", "errors": [], "runs": '
+            '[{"circuit": "bbara", "algorithm": "turbomap", "phi": 5, '
+            '"luts": 30, "stats": {"flow_queries": 10, '
+            '"dinic_phases": 4, "arcs_advanced": 90}}]}'
+        )
+        loaded = perf_report.load_report(str(path))
+        assert loaded["schema"] == 9
+        assert loaded["runs"][0]["stats"]["dinic_phases"] == 4
 
     @staticmethod
     def _assert_schema_rejected(tmp_path, schema):
