@@ -659,10 +659,10 @@ class LabelSolver:
         paper's Theorem 2 applies with epochs counted as rounds.
 
         Gates whose label currently rests on a resynthesis win are
-        additionally re-enqueued after *every* in-SCC rise: the
-        decomposition read labels beyond the recorded K-cut cone
-        (deeper min-cut expansions, cut-input arrival times), so the
-        cone index alone cannot prove them clean.
+        additionally re-enqueued after *every* in-SCC rise, their own
+        included: the decomposition read labels beyond the recorded
+        K-cut cone (deeper min-cut expansions, cut-input arrival
+        times), so the cone index alone cannot prove them clean.
         """
         fanouts = self.circuit.fanouts
         cone_index = self._cone_index
@@ -719,8 +719,11 @@ class LabelSolver:
                         heapq.heappush(heap, (order_pos[dst], dst))
                     else:
                         next_set.add(dst)
+                # The riser itself is no exception: a decomposition
+                # across a register-crossing loop read v's own label
+                # before the rise.
                 for dep in list(self._resyn_dep):
-                    if dep == v or dep not in member_set or dep in in_current:
+                    if dep not in member_set or dep in in_current:
                         continue
                     if order_pos[dep] > pos_v:
                         in_current.add(dep)
