@@ -9,11 +9,11 @@ Public surface
 * :mod:`repro.analysis.invariants` — post-hoc verification of mapping
   and retiming results (MAP0xx), the ``certificate`` summary attached to
   ``SeqMapResult``, and :class:`VerificationError`.
-* :mod:`repro.analysis.certify` — independent schedule / cycle-mean
+* :mod:`repro.analysis.certify` — independent schedule / cycle-ratio
   certificates (RET002/RET003): a balanced-binary-word periodic
-  schedule replayed on the mapped marked graph, and Karp's maximum
-  cycle mean on the condensed register graph, both emitted as
-  machine-readable blobs on the result certificate.
+  schedule replayed on the mapped marked graph, and the exact maximum
+  cycle ratio with its critical cycle and integer potentials, both
+  emitted as machine-readable blobs on the result certificate.
 * :mod:`repro.analysis.kernelrules` — CSR integrity audit of compiled
   circuits (KERN00x), run by ``repro lint`` alongside the structural
   pack.
@@ -22,7 +22,9 @@ Public surface
   revalidation.
 * :mod:`repro.analysis.sanitize` — opt-in runtime invariant hooks
   (SAN00x, ``REPRO_SANITIZE=1`` / ``--sanitize``) with a seeded
-  mutation-testing selftest.
+  mutation-testing selftest.  Loaded on first use: its
+  :class:`SanitizerViolation` is exported lazily, so
+  ``python -m repro.analysis.sanitize`` runs the module once.
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 reports.
 * :mod:`repro.analysis.baseline` — baseline suppression for CI.
 * :mod:`repro.analysis.cli` — ``repro lint`` / ``python -m
@@ -30,6 +32,8 @@ Public surface
 
 Importing this package registers every rule pack.
 """
+
+from typing import Any
 
 from repro.analysis.certify import (
     build_cycle_certificate,
@@ -64,7 +68,7 @@ from repro.analysis.invariants import (
     verify_mapping,
 )
 from repro.analysis.kernelrules import KernelContext, audit_compiled
-from repro.analysis.sanitize import SanitizerViolation
+import repro.analysis.sanrules  # noqa: F401  (registers the SAN0xx descriptors)
 from repro.analysis.structural import lint_circuit
 
 __all__ = [
@@ -100,3 +104,15 @@ __all__ = [
     "sort_diagnostics",
     "verify_mapping",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # PEP 562: ``SanitizerViolation`` loads ``repro.analysis.sanitize``
+    # on first access only.  An eager import would put the module in
+    # ``sys.modules`` before ``python -m repro.analysis.sanitize`` runs
+    # it as ``__main__``.
+    if name == "SanitizerViolation":
+        from repro.analysis.sanitize import SanitizerViolation
+
+        return SanitizerViolation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

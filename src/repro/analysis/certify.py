@@ -1,9 +1,9 @@
-"""Independent schedule and cycle-mean certificates (RET002 / RET003).
+"""Independent schedule and cycle-ratio certificates (RET002 / RET003).
 
-Second-opinion verification of the Tier-1 claim ``phi >= MDR``: the
-mapper's own bound comes from the vectorized Bellman-Ford search in
-:mod:`repro.retime.mdr`, so this module re-derives it twice by means
-that share no code with that engine.
+Second-opinion verification of the Tier-1 claim ``phi >= MDR``.  Each
+certificate is built once, by an untrusted producer, and re-checked by
+a checker that shares no code with it: the checkers here walk the
+mapped circuit directly in integer arithmetic.
 
 **Schedule certificate (RET002).**  The retiming graph is a marked
 graph (Millo & de Simone, arXiv 1202.4912): edges carry ``w`` tokens
@@ -14,53 +14,53 @@ graph (Millo & de Simone, arXiv 1202.4912): edges carry ``w`` tokens
 delay of ``s(v)`` slots.  Such a schedule exists iff
 ``phi * w(C) >= d(C)`` on every cycle ``C``, i.e. iff ``phi >= MDR``,
 so a valid offset vector is an *executable certificate* of the bound.
-:func:`build_schedule_certificate` constructs the offsets by per-SCC
-longest-path relaxation; :func:`replay_schedule` then re-checks them
-two independent ways — the per-edge start constraint, and an
-operational token-game replay of the marked graph over a warm-up
-prefix plus one full period with a periodicity check at the end.
+:func:`build_schedule_certificate` constructs the offsets with the
+per-SCC longest-path relaxation :func:`repro.retime.mdr.rate_potentials`
+at rate ``phi/1``; :func:`replay_schedule` then re-checks them two
+independent ways — the per-edge start constraint, and an operational
+token-game replay of the marked graph over a warm-up prefix plus one
+full period with a periodicity check at the end.
 
-**Karp cycle-mean certificate (RET003).**  The MDR ratio
-``max_C d(C)/w(C)`` is recomputed exactly as a *maximum cycle mean* on
-the condensed register graph: every register instance becomes a node,
-chained registers are linked by zero-cost unit edges, and the last
-register of an edge connects to the first register of each successor
-edge with the maximum gate delay accumulated along zero-weight
-combinational paths in between.  A cycle of the condensed graph
-traverses exactly ``w(C)`` edges at total cost ``d(C)``, so its mean
-equals the cycle's delay-to-register ratio and Karp's theorem
-(``mu* = max_v min_k (D_n(v) - D_k(v)) / (n - k)``) yields the exact
-MDR.  The blob carries an explicit critical cycle mapped back to
-circuit nodes, which the rule re-walks against the original circuit —
-the reported ratio is both *achieved* (witness cycle) and *respected*
-(``phi >= mu*``), and finally cross-checked against the engine's own
-:func:`repro.retime.mdr.min_feasible_period`.
+**Max-cycle-ratio certificate (RET003).**  The exact MDR ratio
+``p/q = max_C d(C)/w(C)`` comes from Howard's policy iteration on the
+retiming graph itself (:func:`repro.retime.mdr.max_cycle_ratio`), with
+its proof on both sides:
+
+* a critical cycle with ``d(C)/w(C) = p/q`` — so ``MDR >= p/q``;
+* integer potentials with ``pi(v) >= pi(u) + q*d(u) - p*w(e)`` on every
+  edge — summed around any cycle they give ``p*w(C) >= q*d(C)``, so
+  ``MDR <= p/q``.
+
+The potentials are the same relaxation as RET002's offsets, run at the
+rational rate ``p/q``: the strictly periodic schedule of the marked
+graph at that rate, scaled by ``q``.  :func:`check_cycle_certificate`
+re-walks the cycle on the circuit and checks every edge inequality in
+``O(E)`` integer arithmetic, without calling the solver.  The rule
+finally cross-checks ``max(1, ceil(p/q))`` against the Bellman-Ford
+engine's :func:`repro.retime.mdr.min_feasible_period`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import Diagnostic, Severity, rule
 from repro.analysis.invariants import MappingContext
 from repro.netlist.graph import SeqCircuit
+from repro.retime.mdr import max_cycle_ratio, rate_potentials
 
-#: Certificate blob schema version (both certificate kinds).
-CERT_SCHEMA = 1
+#: Certificate blob schema version (both certificate kinds).  Schema 2
+#: replaced the Karp cycle-mean blob with the max-cycle-ratio blob.
+CERT_SCHEMA = 2
+
+#: ``kind`` of a RET003 blob (schema 1 blobs were ``karp-cycle-mean``).
+CYCLE_CERT_KIND = "max-cycle-ratio"
 
 #: Replay budget: past this many simulated firing events the token-game
 #: replay is skipped (the O(E) constraint check still certifies).
 DEFAULT_MAX_EVENTS = 250_000
-
-#: Karp budget: past this many condensed nodes/edges the cycle-mean
-#: cross-check is skipped with an explicit reason (O(N*M) table).
-DEFAULT_MAX_REGISTERS = 2_000
-DEFAULT_MAX_CONDENSED_EDGES = 20_000
-
-_NEG_INF = float("-inf")
 
 
 def _delays(circuit: SeqCircuit) -> List[int]:
@@ -100,59 +100,20 @@ def build_schedule_certificate(
     """Construct the periodic-schedule certificate blob for ``phi``.
 
     Solves the difference constraints ``s(v) >= s(u) + d(u) - phi*w``
-    by longest-path relaxation, SCC by SCC in topological order of the
-    condensation (cross edges settle in one pass; an SCC of ``m`` nodes
-    converges within ``m`` sweeps or proves a cycle with
-    ``d(C) > phi * w(C)``, i.e. ``phi < MDR``).
+    by the per-SCC longest-path relaxation of
+    :func:`repro.retime.mdr.rate_potentials`; a cycle with
+    ``d(C) > phi * w(C)`` (i.e. ``phi < MDR``) makes the blob
+    infeasible, with a node of that cycle as the witness.
     """
-    n = len(circuit)
-    delays = _delays(circuit)
-    offsets = [0] * n
-    fanin_edges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for src, dst, weight in _dedup_edges(circuit):
-        fanin_edges[dst].append((src, delays[src] - phi * weight))
-    for members in circuit.sccs():
-        member_set = set(members)
-        # Cross edges first: predecessors outside the SCC are final.
-        for v in members:
-            for src, gain in fanin_edges[v]:
-                if src not in member_set:
-                    cand = offsets[src] + gain
-                    if cand > offsets[v]:
-                        offsets[v] = cand
-        internal = [
-            (v, src, gain)
-            for v in members
-            for src, gain in fanin_edges[v]
-            if src in member_set
-        ]
-        if not internal:
-            continue
-        witness: Optional[int] = None
-        for sweep in range(len(members) + 1):
-            changed = False
-            for v, src, gain in internal:
-                cand = offsets[src] + gain
-                if cand > offsets[v]:
-                    offsets[v] = cand
-                    changed = True
-                    witness = v
-            if not changed:
-                break
-        else:
-            # Still relaxing after |S| sweeps: a positive cycle through
-            # ``witness`` proves the period infeasible.
-            return {
-                "schema": CERT_SCHEMA,
-                "kind": "periodic-schedule",
-                "phi": phi,
-                "feasible": False,
-                "witness_node": circuit.name_of(witness)
-                if witness is not None
-                else None,
-            }
-    base = min(offsets) if offsets else 0
-    offsets = [s - base for s in offsets]
+    offsets, loop = rate_potentials(circuit, phi)
+    if offsets is None:
+        return {
+            "schema": CERT_SCHEMA,
+            "kind": "periodic-schedule",
+            "phi": phi,
+            "feasible": False,
+            "witness_node": circuit.name_of(loop[0]) if loop else None,
+        }
     return {
         "schema": CERT_SCHEMA,
         "kind": "periodic-schedule",
@@ -252,315 +213,149 @@ def replay_schedule(
 
 
 # ----------------------------------------------------------------------
-# Karp cycle-mean certificates
+# Max-cycle-ratio certificates
 # ----------------------------------------------------------------------
-@dataclass
-class _CondensedGraph:
-    """The condensed register graph and its back-mapping to the circuit.
-
-    ``edges`` entries are ``(src_reg, dst_reg, cost, path)`` where
-    ``path`` is the circuit node-id path (head node of the source
-    register's bank through the last combinational node) the cost was
-    accumulated over, or ``None`` for the zero-cost links inside a
-    register chain.  ``reg_edge[r]`` indexes ``weighted`` (the original
-    weighted circuit edges) for register ``r``'s bank.
-    """
-
-    labels: List[str]
-    edges: List[Tuple[int, int, int, Optional[List[int]]]]
-    n_regs: int
-    weighted: List[Tuple[int, int, int]]
-    reg_edge: List[int]
-
-
-def _condensed_register_graph(circuit: SeqCircuit) -> _CondensedGraph:
-    """Build the condensed register graph of a circuit.
-
-    Raises ``ValueError`` on a combinational cycle (MDR unbounded).
-    """
-    delays = _delays(circuit)
-    weighted = [e for e in _dedup_edges(circuit) if e[2] >= 1]
-    reg_base: List[int] = []
-    labels: List[str] = []
-    reg_edge: List[int] = []
-    n_regs = 0
-    first_reg: List[List[int]] = [[] for _ in range(len(circuit))]
-    for idx, (src, dst, weight) in enumerate(weighted):
-        reg_base.append(n_regs)
-        tag = f"{circuit.name_of(src)}->{circuit.name_of(dst)}"
-        labels.extend(f"{tag}#{i}" for i in range(weight))
-        reg_edge.extend([idx] * weight)
-        first_reg[src].append(n_regs)
-        n_regs += weight
-    edges: List[Tuple[int, int, int, Optional[List[int]]]] = []
-    for idx, (_src, _dst, weight) in enumerate(weighted):
-        base = reg_base[idx]
-        for i in range(weight - 1):
-            edges.append((base + i, base + i + 1, 0, None))
-    # best[v]: exit register -> (max accumulated delay from v inclusive,
-    # next hop on that path, or -1 for a direct weighted out-edge of v).
-    best: List[Dict[int, Tuple[int, int]]] = [
-        {} for _ in range(len(circuit))
-    ]
-    order = circuit.comb_topo_order()  # raises on combinational cycles
-    for v in reversed(order):
-        d_v = delays[v]
-        mine = best[v]
-        for reg in first_reg[v]:
-            mine[reg] = (d_v, -1)
-        for dst, weight in circuit.fanouts(v):
-            if weight == 0:
-                for reg, (cost, _hop) in best[dst].items():
-                    cand = d_v + cost
-                    if reg not in mine or cand > mine[reg][0]:
-                        mine[reg] = (cand, dst)
-    for idx, (_src, dst, weight) in enumerate(weighted):
-        tail = reg_base[idx] + weight - 1
-        for reg, (cost, _hop) in best[dst].items():
-            path = [dst]
-            hop = best[dst][reg][1]
-            node = dst
-            while hop != -1:
-                path.append(hop)
-                node = hop
-                hop = best[node][reg][1]
-            edges.append((tail, reg, cost, path))
-    return _CondensedGraph(labels, edges, n_regs, weighted, reg_edge)
-
-
-def _karp_max_cycle_mean(
-    n_regs: int, edges: Sequence[Tuple[int, int, int, Optional[List[int]]]]
-) -> Optional[Tuple[Fraction, List[int]]]:
-    """Karp's maximum cycle mean; ``(mu*, critical cycle)`` or ``None``.
-
-    Runs on the condensed graph plus a super-source with zero-cost
-    edges to every register, so every cycle is reachable.  ``None``
-    when the graph is acyclic.
-    """
-    n = n_regs + 1  # + super-source (vertex n_regs)
-    source = n_regs
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for src, dst, cost, _path in edges:
-        adj[src].append((dst, cost))
-    for v in range(n_regs):
-        adj[source].append((v, 0))
-    dist: List[List[float]] = [[_NEG_INF] * n for _ in range(n + 1)]
-    parent: List[List[int]] = [[-1] * n for _ in range(n + 1)]
-    dist[0][source] = 0.0
-    for k in range(1, n + 1):
-        row = dist[k]
-        par = parent[k]
-        prev = dist[k - 1]
-        for u in range(n):
-            du = prev[u]
-            if du == _NEG_INF:
-                continue
-            for v, cost in adj[u]:
-                cand = du + cost
-                if cand > row[v]:
-                    row[v] = cand
-                    par[v] = u
-    mu: Optional[Fraction] = None
-    arg: int = -1
-    final = dist[n]
-    for v in range(n):
-        if final[v] == _NEG_INF:
-            continue
-        worst: Optional[Fraction] = None
-        for k in range(n):
-            if dist[k][v] == _NEG_INF:
-                continue
-            ratio = Fraction(int(final[v] - dist[k][v]), n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (mu is None or worst > mu):
-            mu = worst
-            arg = v
-    if mu is None:
-        return None
-    # Walk parents from (n, arg); within n+1 visited vertices one must
-    # repeat, and the slice between repeats is a critical cycle.
-    walk: List[int] = []
-    seen: Dict[int, int] = {}
-    v, k = arg, n
-    while v not in seen:
-        seen[v] = len(walk)
-        walk.append(v)
-        v, k = parent[k][v], k - 1
-    cycle = walk[seen[v] :]
-    cycle.reverse()  # parent walk runs backwards in time
-    return mu, cycle
-
-
-def exact_mdr_period(
-    circuit: SeqCircuit,
-    max_registers: int = DEFAULT_MAX_REGISTERS,
-    max_condensed_edges: int = DEFAULT_MAX_CONDENSED_EDGES,
-) -> Optional[int]:
-    """``max(1, ceil(MDR))`` of a circuit in one exact Karp pass.
+def exact_mdr_period(circuit: SeqCircuit) -> int:
+    """``max(1, ceil(MDR))`` of a circuit from its exact cycle ratio.
 
     This equals :func:`repro.retime.mdr.min_feasible_period` (the
     smallest integer phi with no cycle ``d(C) > phi * w(C)``) but
     replaces that function's ``O(log n)`` Bellman-Ford feasibility
-    probes with a single Karp maximum-cycle-mean computation on the
-    condensed register graph — the same exact machinery RET003 uses to
-    cross-check achieved mappings, reused here to obtain the Figure-4
-    search's default bound up front.
-
-    Returns ``None`` when the condensed graph exceeds the Karp size
-    budget (callers fall back to the Bellman-Ford search); raises
-    ``ValueError`` on a combinational cycle, matching
-    ``min_feasible_period``.
+    probes with one :func:`repro.retime.mdr.max_cycle_ratio` solve —
+    the solver behind RET003, reused here to obtain the Figure-4
+    search's default bound up front.  Raises ``ValueError`` on a
+    combinational cycle, matching ``min_feasible_period``.
     """
-    graph = _condensed_register_graph(circuit)
-    if (
-        graph.n_regs > max_registers
-        or len(graph.edges) > max_condensed_edges
-    ):
-        return None
-    found = _karp_max_cycle_mean(graph.n_regs, graph.edges)
-    if found is None:
-        return 1
-    mu, _cycle = found
-    return max(1, math.ceil(mu))
+    return max(1, math.ceil(max_cycle_ratio(circuit).ratio))
 
 
 def build_cycle_certificate(
-    circuit: SeqCircuit,
-    phi: int,
-    max_registers: int = DEFAULT_MAX_REGISTERS,
-    max_condensed_edges: int = DEFAULT_MAX_CONDENSED_EDGES,
+    circuit: SeqCircuit, phi: int
 ) -> Dict[str, Any]:
-    """Construct the Karp cycle-mean certificate blob for ``phi``.
+    """Construct the max-cycle-ratio certificate blob for ``phi``.
 
-    The blob carries the exact MDR as a fraction, the implied integer
-    period bound, and a critical closed walk mapped back to circuit
-    nodes (``circuit_cycle``: ``[[name, weight_to_next], ...]``) so a
-    checker can re-walk the original circuit without rebuilding the
-    condensed graph.  Oversized inputs are skipped with a reason.
+    The blob carries the exact MDR ``mcm`` as ``"p/q"``, the implied
+    integer period bound, a critical cycle on circuit nodes
+    (``circuit_cycle``: ``[[name, weight_to_next], ...]``; empty, with
+    ``mcm = "0/1"``, when the circuit has no cycle) and the potentials
+    at rate ``p/q``, indexed by node id.  A combinational cycle yields
+    an infeasible blob without a ratio.
     """
     base: Dict[str, Any] = {
         "schema": CERT_SCHEMA,
-        "kind": "karp-cycle-mean",
+        "kind": CYCLE_CERT_KIND,
         "phi": phi,
     }
     try:
-        graph = _condensed_register_graph(circuit)
+        found = max_cycle_ratio(circuit)
     except ValueError:
         base.update(mcm=None, feasible=False, reason="combinational cycle")
         return base
-    base.update(
-        registers=graph.n_regs, condensed_edges=len(graph.edges)
-    )
-    if (
-        graph.n_regs > max_registers
-        or len(graph.edges) > max_condensed_edges
-    ):
-        base.update(
-            mcm=None,
-            skipped=(
-                f"condensed graph too large ({graph.n_regs} registers,"
-                f" {len(graph.edges)} edges)"
-            ),
-        )
-        return base
-    found = _karp_max_cycle_mean(graph.n_regs, graph.edges)
-    if found is None:
-        base.update(mcm=None, bound=1, feasible=True, critical_cycle=[])
-        return base
-    mu, cycle = found
-    bound = max(1, math.ceil(mu))
-    edge_paths: Dict[Tuple[int, int], Optional[List[int]]] = {
-        (src, dst): path for src, dst, _cost, path in graph.edges
-    }
-    # Rebuild the critical closed walk on circuit nodes.  Each cost
-    # edge of the cycle contributes its combinational path ``v .. x``
-    # (zero-weight hops), and consecutive paths are connected by the
-    # register bank the target register belongs to (``w`` registers
-    # from ``x`` into the next path's first node).
-    segments: List[Tuple[List[int], int]] = []  # (path, exit weight)
-    for i, reg in enumerate(cycle):
-        nxt = cycle[(i + 1) % len(cycle)]
-        path = edge_paths.get((reg, nxt))
-        if path is None:
-            continue  # zero-cost chain link inside one register bank
-        # ``nxt`` is the first register of the bank the walk enters
-        # after this path: its weight spans path[-1] -> next path[0].
-        _src, _dst, weight = graph.weighted[graph.reg_edge[nxt]]
-        segments.append((path, weight))
-    circuit_cycle: List[List[Any]] = []
-    for path, exit_weight in segments:
-        for node in path[:-1]:
-            circuit_cycle.append([circuit.name_of(node), 0])
-        circuit_cycle.append([circuit.name_of(path[-1]), exit_weight])
+    mu = found.ratio
     base.update(
         mcm=f"{mu.numerator}/{mu.denominator}",
-        bound=bound,
+        bound=max(1, math.ceil(mu)),
         feasible=phi >= mu,
-        critical_cycle=[graph.labels[reg] for reg in cycle],
-        circuit_cycle=circuit_cycle,
+        circuit_cycle=[
+            [circuit.name_of(v), w] for v, w in zip(found.cycle, found.weights)
+        ],
+        potentials=found.potentials,
     )
     return base
 
 
-def check_cycle_certificate(
-    circuit: SeqCircuit, phi: int, blob: Dict[str, Any]
-) -> List[str]:
-    """Re-check a cycle-mean certificate; returns violation messages.
-
-    Re-walks ``circuit_cycle`` on the original circuit (every claimed
-    edge must exist with the claimed register count), recomputes the
-    walk's delay-to-register ratio, and requires it to equal the
-    claimed ``mcm`` with ``phi >= mcm``.
-    """
-    problems: List[str] = []
-    if blob.get("skipped") is not None:
-        return problems
-    mcm_text = blob.get("mcm")
-    if mcm_text is None:
-        if blob.get("feasible") is False:
-            problems.append(
-                "cycle certificate reports an unbounded MDR"
-                f" ({blob.get('reason', 'no reason')})"
-            )
-        return problems
-    num, den = (int(part) for part in str(mcm_text).split("/", 1))
-    mu = Fraction(num, den)
-    walk = blob.get("circuit_cycle") or []
-    if not walk:
-        problems.append("cycle certificate has no witness cycle")
-        return problems
+def _walk_ratio(
+    circuit: SeqCircuit, delays: List[int], walk: Sequence[Any]
+) -> Tuple[Optional[Fraction], Optional[str]]:
+    """The delay-to-register ratio of a claimed closed walk, or a problem."""
     ids = {circuit.name_of(v): v for v in circuit.node_ids()}
-    pin_sets = [
-        {(p.src, p.weight) for p in circuit.fanins(v)}
-        for v in circuit.node_ids()
-    ]
-    delays = _delays(circuit)
     total_delay = 0
     total_weight = 0
     for i, (name, weight) in enumerate(walk):
         nxt_name = walk[(i + 1) % len(walk)][0]
         if name not in ids or nxt_name not in ids:
-            problems.append(f"witness cycle names unknown node {name!r}")
-            return problems
+            return None, f"witness cycle names unknown node {name!r}"
         src, dst = ids[name], ids[nxt_name]
-        if (src, int(weight)) not in pin_sets[dst]:
-            problems.append(
+        if not any(
+            pin.src == src and pin.weight == weight
+            for pin in circuit.fanins(dst)
+        ):
+            return None, (
                 f"witness cycle claims edge {name!r}->{nxt_name!r}"
                 f" (w={weight}) which the circuit does not have"
             )
-            return problems
         total_delay += delays[src]
-        total_weight += int(weight)
+        total_weight += weight
     if total_weight <= 0:
-        problems.append("witness cycle carries no registers")
-        return problems
-    achieved = Fraction(total_delay, total_weight)
-    if achieved != mu:
-        problems.append(
-            f"witness cycle achieves ratio {achieved}, certificate"
-            f" claims {mu}"
-        )
+        return None, "witness cycle carries no registers"
+    return Fraction(total_delay, total_weight), None
+
+
+def check_cycle_certificate(
+    circuit: SeqCircuit, phi: int, blob: Dict[str, Any]
+) -> List[str]:
+    """Re-check a max-cycle-ratio certificate; returns violation messages.
+
+    Never calls the solver; ``O(E)`` integer arithmetic.  The walk
+    ``circuit_cycle`` must exist on the circuit with the claimed
+    register counts and achieve exactly ``mcm = p/q`` (so
+    ``MDR >= p/q``); the potentials must satisfy
+    ``pi(v) >= pi(u) + q*d(u) - p*w`` on every edge (so
+    ``MDR <= p/q``); ``bound`` must be ``max(1, ceil(p/q))``; and
+    ``phi >= p/q``.
+    """
+    if blob.get("kind") != CYCLE_CERT_KIND or blob.get("schema") != CERT_SCHEMA:
+        return [
+            f"unsupported cycle certificate {blob.get('kind')!r}"
+            f" (schema {blob.get('schema')!r})"
+        ]
+    mcm_text = blob.get("mcm")
+    if mcm_text is None:
+        return [
+            "cycle certificate reports an unbounded MDR"
+            f" ({blob.get('reason', 'no reason')})"
+        ]
+    try:
+        mu = Fraction(str(mcm_text))
+    except ValueError:
+        return [f"cycle certificate ratio {mcm_text!r} is not a fraction"]
+    if mu < 0:
+        return [f"cycle certificate ratio {mu} is negative"]
+    delays = _delays(circuit)
+    walk = blob.get("circuit_cycle") or []
+    if walk:
+        achieved, problem = _walk_ratio(circuit, delays, walk)
+        if problem is not None:
+            return [problem]
+        if achieved != mu:
+            return [
+                f"witness cycle achieves ratio {achieved}, certificate"
+                f" claims {mu}"
+            ]
+    elif mu != 0:
+        return ["cycle certificate has no witness cycle"]
+    potentials = blob.get("potentials")
+    n = len(circuit)
+    if (
+        not isinstance(potentials, list)
+        or len(potentials) != n
+        or not all(type(x) is int for x in potentials)
+    ):
+        size = len(potentials) if isinstance(potentials, list) else 0
+        return [f"potential vector has {size} integer entries for {n} nodes"]
+    p, q = mu.numerator, mu.denominator
+    for src, dst, weight in circuit.edges():
+        slack = potentials[dst] - potentials[src] - q * delays[src] + p * weight
+        if slack < 0:
+            return [
+                f"edge {circuit.name_of(src)!r}->{circuit.name_of(dst)!r}"
+                f" (w={weight}) violates the potential inequality at"
+                f" rate {mu} by {-slack}: some cycle may exceed it"
+            ]
+    problems: List[str] = []
+    bound = blob.get("bound")
+    if bound != max(1, math.ceil(mu)):
+        problems.append(f"bound {bound!r} is not max(1, ceil({mu}))")
     if phi < mu:
         problems.append(
             f"period {phi} is below the certified MDR ratio {mu}"
@@ -609,12 +404,13 @@ def _check_schedule_certificate(ctx: MappingContext) -> Iterator[Diagnostic]:
 
 @rule(
     "RET003",
-    "cycle-mean-crosscheck",
+    "cycle-ratio-crosscheck",
     Severity.ERROR,
     "mapping",
-    "Karp's maximum cycle mean on the condensed register graph must "
-    "re-derive the MDR bound: the witness cycle re-walks, phi >= mcm, "
-    "and the independent bound agrees with the engine's.",
+    "The exact maximum cycle ratio must be proven on both sides: the "
+    "critical cycle re-walks at ratio mcm, integer potentials satisfy "
+    "every edge at rate mcm, phi >= mcm, and ceil(mcm) agrees with the "
+    "Bellman-Ford engine's bound.",
 )
 def _check_cycle_certificate(ctx: MappingContext) -> Iterator[Diagnostic]:
     blob = ctx.cycle_cert
@@ -625,18 +421,14 @@ def _check_cycle_certificate(ctx: MappingContext) -> Iterator[Diagnostic]:
         yield Diagnostic(
             "RET003",
             Severity.ERROR,
-            f"cycle-mean certificate rejected: {problem}",
+            f"cycle-ratio certificate rejected: {problem}",
             loc,
             data={"mcm": blob.get("mcm")},
         )
         return
-    if blob.get("skipped") is not None or blob.get("feasible") is False:
-        return
-    bound = blob.get("bound")
-    if bound is None:
-        return
     from repro.retime.mdr import min_feasible_period
 
+    bound = blob["bound"]
     try:
         engine_bound = min_feasible_period(ctx.mapped, upper_bound=ctx.phi)
     except ValueError as exc:
@@ -651,7 +443,7 @@ def _check_cycle_certificate(ctx: MappingContext) -> Iterator[Diagnostic]:
         yield Diagnostic(
             "RET003",
             Severity.ERROR,
-            "independent Karp bound disagrees with the engine: "
+            "certified cycle-ratio bound disagrees with the engine: "
             f"ceil(mcm) = {bound}, min_feasible_period = {engine_bound}",
             loc,
             data={"mcm": blob.get("mcm"), "engine_bound": engine_bound},

@@ -25,10 +25,11 @@ SAN006    reused-label-exactness      clean gates of a dirty-seeded repair
 
 A violated hook raises :class:`SanitizerViolation` carrying a full
 :class:`~repro.analysis.engine.Diagnostic` — the caller decides whether
-to render, collect, or abort.  The rules are registered under the
-``"sanitizer"`` scope purely for metadata (SARIF descriptors, rule
-listings); their check functions never run through the engine because
-the hooks fire in-line.  SAN005 (level-graph sanity) checked the BFS
+to render, collect, or abort.  The rules' descriptors live in
+:mod:`repro.analysis.sanrules`, registered under the ``"sanitizer"``
+scope purely for metadata (SARIF descriptors, rule listings); their
+check functions never run through the engine because the hooks fire
+in-line.  SAN005 (level-graph sanity) checked the BFS
 levels of the retired Dinic engine and is not reused.
 
 ``python -m repro.analysis.sanitize --selftest`` runs the seeded
@@ -47,25 +48,26 @@ import sys
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.analysis.engine import (
-    Diagnostic,
-    Location,
-    Rule,
-    Severity,
-    all_rules,
-    register,
-)
+from repro.analysis.engine import Diagnostic, Location, Severity
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
     from repro.core.labels import DirtySeed, LabelSolver
     from repro.comb.maxflow import FlowNetwork
+
+if __name__ == "__main__":  # pragma: no cover
+    # ``python -m`` runs this file as ``__main__``, but the engine hooks
+    # import the canonical ``repro.analysis.sanitize``.  Hand over before
+    # the body below runs, so the harness arms that module's switch and
+    # catches that module's exception class.
+    from repro.analysis.sanitize import main as _canonical_main
+
+    sys.exit(_canonical_main())
 
 #: Environment variable that switches the sanitizer on.
 ENV_FLAG = "REPRO_SANITIZE"
@@ -108,58 +110,6 @@ def _violation(
     return SanitizerViolation(
         Diagnostic(rule_id, Severity.ERROR, message, loc, data=dict(data))
     )
-
-
-def _descriptor_only(_ctx: object) -> Iterator[Diagnostic]:
-    """Sanitizer rules fire from in-line hooks, never via ``run_rules``."""
-    return iter(())
-
-
-def _describe(rule_id: str, name: str, description: str) -> None:
-    # Idempotent: ``python -m repro.analysis.sanitize`` loads this module
-    # once as ``__main__`` and once canonically (via the engine hooks'
-    # lazy imports); both executions hit the same shared registry.
-    if any(r.id == rule_id for r in all_rules("sanitizer")):
-        return
-    register(
-        Rule(rule_id, name, Severity.ERROR, "sanitizer", description,
-             _descriptor_only)
-    )
-
-
-_describe(
-    "SAN001",
-    "label-monotonicity",
-    "Within one label-solver run, node labels only increase: any epoch "
-    "that lowers a label has corrupted the fixpoint iteration.",
-)
-_describe(
-    "SAN002",
-    "label-epoch-fixpoint",
-    "An SCC must converge within its declared epoch budget, and every "
-    "converged gate label must be justified by its fanin maximum: "
-    "big_l(v) <= l(v) always, and l(v) <= max(1, big_l(v) + 1) when no "
-    "resynthesis hook or warm seed can have lifted it.",
-)
-_describe(
-    "SAN003",
-    "flow-conservation",
-    "After a max-flow run, the net flow at every node other than the "
-    "source and the sink must be zero.",
-)
-_describe(
-    "SAN004",
-    "capacity-respect",
-    "Residual capacities must stay non-negative and every forward/"
-    "reverse edge pair must preserve its original capacity sum.",
-)
-_describe(
-    "SAN006",
-    "reused-label-exactness",
-    "Clean gates of a dirty-seeded repair must keep the adopted "
-    "previous fixpoint verbatim: label >= 1, unchanged by the run, and "
-    "still justified by the fanin maximum.",
-)
 
 
 # ----------------------------------------------------------------------
@@ -654,12 +604,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         "caught, clean runs silent"
     )
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    # Delegate to the canonical module so the hooks (which import
-    # ``repro.analysis.sanitize``) raise the same SanitizerViolation
-    # class the harness catches.
-    from repro.analysis.sanitize import main as _canonical_main
-
-    sys.exit(_canonical_main())

@@ -42,7 +42,6 @@ from repro.resilience.budget import (
     ProbeTimeout,
 )
 from repro.resilience.faultinject import fault_point
-from repro.retime.mdr import min_feasible_period
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
     from repro.cache.store import CacheKey, OutcomeCache
@@ -202,14 +201,14 @@ def probe_phi(
 def default_upper_bound(circuit: SeqCircuit) -> int:
     """The Figure-4 search's default bound: ``max(1, ceil(MDR))``.
 
-    Computed by one exact Karp maximum-cycle-mean pass on the condensed
-    register graph (:func:`repro.analysis.certify.exact_mdr_period`,
-    the RET003 machinery) instead of
+    Computed from the exact maximum cycle ratio of the retiming graph
+    (:func:`repro.analysis.certify.exact_mdr_period`: Howard's policy
+    iteration, the solver behind RET003) instead of
     :func:`~repro.retime.mdr.min_feasible_period`'s ``O(log n)``
     Bellman-Ford probes; the two are equal by construction (asserted
     bit-identical over the suite in the tests), so the search
-    trajectory is unchanged.  Oversized condensed graphs fall back to
-    the Bellman-Ford search.
+    trajectory is unchanged.  The solve is linear per policy round and
+    has no size cap, so there is no fallback.
 
     Note ``ceil(MDR)`` of the *unmapped* network bounds the optimum
     from **above** (the identity mapping achieves it; mapping only
@@ -219,10 +218,7 @@ def default_upper_bound(circuit: SeqCircuit) -> int:
     """
     from repro.analysis.certify import exact_mdr_period
 
-    period = exact_mdr_period(circuit)
-    if period is None:  # condensed graph over the Karp size budget
-        period = min_feasible_period(circuit)
-    return period
+    return exact_mdr_period(circuit)
 
 
 def search_bounds(

@@ -185,7 +185,7 @@ def mapper_run(
         if isinstance(cyc, dict):
             run["certificate"]["cycle_certificate"] = {
                 key: cyc[key]
-                for key in ("phi", "feasible", "mcm", "bound", "skipped")
+                for key in ("phi", "feasible", "mcm", "bound")
                 if key in cyc
             }
     return run

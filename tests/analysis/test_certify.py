@@ -1,9 +1,9 @@
-"""Schedule / cycle-mean certificates: construction, replay, cross-check.
+"""Schedule / cycle-ratio certificates: construction, replay, cross-check.
 
-Covers the PR's acceptance criterion directly: on every quick-suite
-circuit the schedule certificate replays cleanly and the Karp bound
-equals the engine's ``min_feasible_period`` — zero false alarms — and
-seeded tampering of either blob is rejected.
+On every quick-suite circuit the schedule certificate replays cleanly
+and the certified cycle-ratio bound equals the engine's
+``min_feasible_period`` — zero false alarms — and seeded tampering of
+either blob is rejected.
 """
 
 from fractions import Fraction
@@ -141,7 +141,7 @@ class TestCycleCertificate:
         c.add_po("o", g)
         blob = build_cycle_certificate(c, 1)
         assert blob["bound"] == 1
-        assert blob["critical_cycle"] == []
+        assert blob["circuit_cycle"] == []
         assert check_cycle_certificate(c, 1, blob) == []
 
     def test_tampered_ratio_rejected(self):
@@ -167,11 +167,14 @@ class TestCycleCertificate:
         problems = check_cycle_certificate(c, 3, blob)
         assert problems
 
-    def test_oversize_skips_with_reason(self):
-        c = ring_circuit(3, 4)
-        blob = build_cycle_certificate(c, 1, max_registers=2)
-        assert blob["mcm"] is None
-        assert "too large" in blob["skipped"]
+    def test_many_registers_never_skipped(self):
+        # More registers than the retired Karp cap allowed (2,000): the
+        # certificate is still built, exact and checked.
+        c = ring_circuit(3, 2500)
+        blob = build_cycle_certificate(c, 1)
+        assert "skipped" not in blob
+        assert blob["mcm"] == "3/2500"
+        assert blob["bound"] == 1
         assert check_cycle_certificate(c, 1, blob) == []
 
     def test_random_seq_matches_engine(self):
@@ -242,9 +245,8 @@ def test_quick_suite_zero_false_alarms(name):
     assert sched["phi"] == result.phi
     assert replay_schedule(result.mapped, result.phi, sched["offsets"]) == []
     assert check_cycle_certificate(result.mapped, result.phi, cyc) == []
-    if cyc.get("skipped") is None:
-        assert cyc["feasible"] is True
-        engine_bound = min_feasible_period(result.mapped)
-        assert cyc["bound"] == engine_bound
-        num, den = (int(x) for x in cyc["mcm"].split("/"))
-        assert result.phi >= Fraction(num, den)
+    assert "skipped" not in cyc
+    assert cyc["feasible"] is True
+    engine_bound = min_feasible_period(result.mapped)
+    assert cyc["bound"] == engine_bound
+    assert result.phi >= Fraction(cyc["mcm"])

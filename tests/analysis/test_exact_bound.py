@@ -1,10 +1,10 @@
-"""Exact Karp upper bound vs the Bellman-Ford search it replaces.
+"""Exact cycle-ratio upper bound vs the Bellman-Ford search it replaces.
 
-``default_upper_bound`` now computes ``max(1, ceil(MDR))`` with one
-exact Karp maximum-cycle-mean pass (``exact_mdr_period``) instead of
-``min_feasible_period``'s ``O(log n)`` feasibility probes.  The two
-must agree *exactly* on every input — any divergence would silently
-shift the Figure-4 search trajectory.
+``default_upper_bound`` computes ``max(1, ceil(MDR))`` from one exact
+maximum-cycle-ratio solve (``exact_mdr_period``, Howard's policy
+iteration) instead of ``min_feasible_period``'s ``O(log n)``
+feasibility probes.  The two must agree *exactly* on every input — any
+divergence would silently shift the Figure-4 search trajectory.
 """
 
 import pytest
@@ -57,22 +57,20 @@ def test_default_upper_bound_uses_the_exact_pass():
     assert default_upper_bound(c) == min_feasible_period(c)
 
 
-def test_oversized_graph_falls_back(monkeypatch):
-    """Over the Karp size budget ``exact_mdr_period`` abstains and the
-    driver falls back to the Bellman-Ford search — same answer."""
-    c = build("bbara")
-    assert exact_mdr_period(c, max_registers=1) is None
-    assert exact_mdr_period(c, max_condensed_edges=1) is None
+def test_many_registers_never_fall_back(monkeypatch):
+    """Past the retired Karp caps (2,000 registers) the exact solve still
+    answers, and the driver never falls back to Bellman-Ford."""
+    import repro.retime.mdr as mdr
 
-    import repro.analysis.certify as certify
+    c = ring_circuit(7, 2500)
+    expected = min_feasible_period(c)
 
-    monkeypatch.setattr(certify, "DEFAULT_MAX_REGISTERS", 1)
-    monkeypatch.setattr(
-        certify,
-        "exact_mdr_period",
-        lambda circuit, **kw: None,
-    )
-    assert default_upper_bound(c) == min_feasible_period(c)
+    def no_bellman_ford(*_args):
+        raise AssertionError("the bound ran a Bellman-Ford probe")
+
+    monkeypatch.setattr(mdr, "has_positive_cycle", no_bellman_ford)
+    assert exact_mdr_period(c) == expected == 1
+    assert default_upper_bound(c) == expected
 
 
 @pytest.mark.parametrize("name", quick_subset())

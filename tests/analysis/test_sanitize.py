@@ -5,8 +5,13 @@ every SAN0xx hook catching its injected engine bug, clean runs stay
 silent, and the hooks change no answers when enabled.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis import sanitize
 from repro.analysis.engine import Severity, all_rules
 from repro.analysis.sanitize import (
@@ -136,3 +141,22 @@ class TestCli:
     def test_no_args_prints_help(self, capsys):
         assert sanitize.main([]) == 2
         assert "selftest" in capsys.readouterr().out
+
+    def test_module_run_loads_once(self):
+        """``python -m`` must not find the module pre-imported by its
+        package (runpy's RuntimeWarning, here an error) nor run its body
+        twice (the SAN rules would register twice and raise)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.analysis.sanitize", "--selftest"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "seeded mutation(s) caught" in proc.stdout

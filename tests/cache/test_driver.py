@@ -115,3 +115,50 @@ def test_degraded_runs_never_finalize(tmp_path, circuit):
     assert not warm.degraded
     cold = turbomap(circuit.copy(), 4)
     assert warm.phi == cold.phi
+
+
+def test_schema1_cycle_certificate_final_replays_reverified(tmp_path, circuit):
+    """A final written before the cycle certificate moved to schema 2
+    (the Karp ``karp-cycle-mean`` blob) still replays: the replay
+    re-verifies the mapping and attaches a fresh schema-2 certificate."""
+    import json
+
+    from repro.analysis.cacherules import audit_cache
+    from repro.analysis.certify import CERT_SCHEMA, CYCLE_CERT_KIND
+    from repro.cache.store import entry_checksum
+
+    cache = OutcomeCache(tmp_path)
+    cold = turbomap(circuit.copy(), 4, cache=cache)
+    key = cache_key(circuit, 4, False)
+    path = cache._entry_path(key)
+    entry = json.load(open(path))
+    cyc = entry["final"]["cycle_certificate"]
+    entry["final"]["cycle_certificate"] = {
+        "schema": 1,
+        "kind": "karp-cycle-mean",
+        "phi": cold.phi,
+        "registers": 12,
+        "condensed_edges": 40,
+        "mcm": cyc["mcm"],
+        "bound": cyc["bound"],
+        "feasible": True,
+        "critical_cycle": ["g1->g2#0"],
+        "circuit_cycle": cyc["circuit_cycle"],
+    }
+    entry["checksum"] = entry_checksum(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+    assert audit_cache(cache) == []
+
+    warm_cache = OutcomeCache(tmp_path)
+    warm = turbomap(circuit.copy(), 4, cache=warm_cache)
+    assert warm_cache.final_hits == 1
+    assert warm_cache.healed == 0
+    assert warm.total_stats.flow_queries == 0
+    assert warm.phi == cold.phi
+    assert list(warm.labels) == list(cold.labels)
+    assert write_blif(warm.mapped) == write_blif(cold.mapped)
+    fresh = warm.certificate["cycle_certificate"]
+    assert warm.certificate["verified"] is True
+    assert (fresh["schema"], fresh["kind"]) == (CERT_SCHEMA, CYCLE_CERT_KIND)
+    assert fresh == cold.certificate["cycle_certificate"]
